@@ -25,7 +25,6 @@ def main() -> None:
     ap.add_argument("--alpha", type=float, default=0.05)
     ap.add_argument("--bootstrap", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--output", type=Path, default=Path("coverage_report.json"))
     args = ap.parse_args()
 
@@ -34,8 +33,7 @@ def main() -> None:
                                g0=(1.5, -0.8), g1=(0.3, 0.0))
     t0 = time.monotonic()
     report = run_coverage(dgp, reps=args.reps, n=args.n, alpha=args.alpha,
-                          B=args.bootstrap, seed=args.seed,
-                          workers=args.workers)
+                          B=args.bootstrap, seed=args.seed)
     dt = time.monotonic() - t0
 
     print(f"reps={args.reps} n={args.n} alpha={args.alpha} "

@@ -69,6 +69,8 @@ class RunConfig:
     z_bins: list | None = None
     n: int = 1000
     reps: int = 200
+    # has no effect: the bootstrap runs in one thread; kept so that older
+    # config files load and artifacts echo the same configuration
     workers: int | None = None
     dgp: dict | None = None
     subset_indices: list | None = None
@@ -149,7 +151,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, help="fiber monotonization step")
     parser.add_argument("--grid-y", type=int, dest="grid_y", help="y grid points")
     parser.add_argument("--grid-z", type=int, dest="grid_z", help="z grid points")
-    parser.add_argument("--workers", type=int, help="parallel workers (or env ROYBOUNDS_WORKERS)")
+    parser.add_argument("--workers", type=int,
+                        help="ignored; accepted so older commands still run")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -287,11 +290,10 @@ def _cmd_infer(config: RunConfig) -> int:
     table = estimate_tables(sample, grid, config.bandwidth)
     surface = cost_bounds_pf(table, sample.lower_support_bound,
                              crossing_tol=_crossing_tol(config, sample.n))
-    band = confidence_band(sample, grid, bandwidth=config.bandwidth,
-                           alpha=config.alpha, B=config.bootstrap,
+    band = confidence_band(sample, grid, alpha=config.alpha, B=config.bootstrap,
                            seed=config.seed, epsilon=config.epsilon,
                            subset_indices=config.subset_indices,
-                           side=config.side, workers=config.workers)
+                           side=config.side, table=table)
     write_band_csv(band, config.output, echo)
     write_json_sidecar(config.output, "confidence_band", {
         "y_grid": grid.y, "z_grid": grid.z, "Cn": band.Cn,
@@ -327,8 +329,7 @@ def _cmd_coverage(config: RunConfig) -> int:
     dgp = DgpSpec.from_json(config.dgp)
     report = run_coverage(dgp, config.reps, config.n, alpha=config.alpha,
                           B=config.bootstrap, seed=config.seed,
-                          bandwidth=config.bandwidth, epsilon=config.epsilon,
-                          workers=config.workers)
+                          bandwidth=config.bandwidth, epsilon=config.epsilon)
     echo = config.echo()
     from .reporting import _open_writer, fmt
     handle, writer = _open_writer(config.output, echo)

@@ -80,7 +80,6 @@ def run_coverage(dgp: DgpSpec, reps: int, n: int, alpha: float = 0.05,
                  grid: EvaluationGrid | None = None,
                  bandwidth: float | None = None,
                  epsilon: float | None = None,
-                 workers: int | None = None,
                  slack: float = 1e-9) -> CoverageReport:
     if reps < 1:
         raise ConfigError(f"replication count must be at least 1, got {reps}")
@@ -102,7 +101,7 @@ def run_coverage(dgp: DgpSpec, reps: int, n: int, alpha: float = 0.05,
         sample = generate_sample(dgp, n, sample_seed)
         band = confidence_band(sample, grid, bandwidth=bandwidth, alpha=alpha,
                                B=B, seed=int(boot_seed.generate_state(1)[0]),
-                               epsilon=epsilon, workers=workers)
+                               epsilon=epsilon)
         valid = surface.identified_mask & band.identified_mask
         counts += valid
         good_lower = valid & (band.Cn <= surface.Clow + slack)

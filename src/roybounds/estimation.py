@@ -5,7 +5,10 @@ local linear regression of an indicator (or of y itself) on z, evaluated at
 each grid point z0.  Because the fit is linear in the responses, the
 intercept is a fixed linear functional of the records once z0 and the
 bandwidth are fixed; tables over a y grid therefore reduce to one weighted
-cumulative sum per z column.
+cumulative sum per z column, over the records inside the column's kernel
+window.  ``TableKernel`` computes those tables for a sample and for any
+bootstrap index draw from it, so the point estimate and the bootstrap share
+one code path.
 """
 
 from __future__ import annotations
@@ -40,6 +43,18 @@ def silverman_bandwidth(z: np.ndarray) -> float:
     return 1.06 * scale * n ** (-0.2)
 
 
+def _ll_denominator(s0: float, s1: float, s2: float, h: float) -> float | None:
+    """Determinant s0 s2 - s1^2 of the local design from its kernel moments.
+
+    Returns None when the design is singular (all in-window z equal), where
+    the fit falls back to the Nadaraya-Watson weights w / s0.
+    """
+    den = s0 * s2 - s1 * s1
+    if den <= _SINGULAR_REL_TOL * max(s0 * s2, s1 * s1, s0 * s0 * h * h):
+        return None
+    return den
+
+
 def _ll_coefficients(z: np.ndarray, z0: float, h: float) -> np.ndarray:
     """Per-record weights a_i with intercept = sum_i a_i r_i for any response r.
 
@@ -56,8 +71,8 @@ def _ll_coefficients(z: np.ndarray, z0: float, h: float) -> np.ndarray:
     dz = z - z0
     s1 = float(np.sum(w * dz))
     s2 = float(np.sum(w * dz * dz))
-    den = s0 * s2 - s1 * s1
-    if den <= _SINGULAR_REL_TOL * max(s0 * s2, s1 * s1, s0 * s0 * h * h):
+    den = _ll_denominator(s0, s1, s2, h)
+    if den is None:
         return w / s0
     return w * (s2 - s1 * dz) / den
 
@@ -139,23 +154,162 @@ class ConditionalCdfTable:
         return max(5.0 / self.n_obs, 1e-3)
 
 
-def _column_estimates(sample: ObservationSample, grid_y: np.ndarray,
-                      a: np.ndarray) -> tuple:
-    """All CDF functionals for one z column from shared weights a."""
-    order = np.argsort(sample.y, kind="stable")
-    ys = sample.y[order]
-    aw = a[order]
-    d = sample.d[order].astype(float)
-    cum_all = np.concatenate(([0.0], np.cumsum(aw)))
-    cum_d1 = np.concatenate(([0.0], np.cumsum(aw * d)))
-    # the weights sum to one algebraically; pin the float total accordingly
-    cum_all[-1] = 1.0
-    idx = np.searchsorted(ys, grid_y, side="right")
-    F = cum_all[idx]
-    F1 = cum_d1[idx]
-    F0 = F - F1
-    p = float(cum_d1[-1])
-    return F, F0, F1, p
+@dataclass(frozen=True)
+class _Window:
+    """One z column's kernel window over the sample records.
+
+    ``slot[i]`` is 0 for a record outside the window (zero weight) and
+    k + 1 for the k-th record inside it, so ``moments[:, slot]`` gives every
+    record's w, w dz and w dz^2, and ``dz[slot]`` its z - z0.
+    """
+
+    z0: float
+    slot: np.ndarray
+    moments: np.ndarray
+    dz: np.ndarray
+
+
+def _window(z: np.ndarray, z0: float, h: float) -> _Window:
+    dz = z - z0
+    w = epanechnikov(dz / h)
+    wdz = w * dz
+    inside = np.flatnonzero(w > 0.0)
+    slot = np.zeros(z.size, dtype=np.intp)
+    slot[inside] = np.arange(1, inside.size + 1)
+    moments = np.zeros((3, inside.size + 1))
+    moments[:, 1:] = (w[inside], wdz[inside], wdz[inside] * dz[inside])
+    return _Window(z0=z0, slot=slot, moments=moments,
+                   dz=np.concatenate(([0.0], dz[inside])))
+
+
+class TableKernel:
+    """Local linear CDF tables of one sample, or of any index draw from it.
+
+    A draw ``idx`` stands for the resample ``(y[idx], d[idx], z[idx])``, as a
+    pairs bootstrap makes it; ``table(idx)`` returns that resample's
+    ``estimate_tables`` result bit for bit without building it, and
+    ``table()`` the sample's own.  The constructor sorts y once and computes
+    the Epanechnikov weights of each z column.  Per table and column:
+
+    * the kernel moments are sums over the full-length gathered weights,
+      which keeps the pairwise summation order of the resample;
+    * only the in-window records (a few percent of n at the default
+      bandwidth) are sorted, by y and then draw position: the full stable
+      sort restricted to the window, ties included;
+    * their cumulative sums give F and F1 at the y grid.  A record outside
+      the window has weight +0 or -0, which leaves a partial sum unchanged
+      except for the sign of a zero (see ``_zero_sign_records``);
+    * F is pinned to 1 where y >= the largest y drawn, as the weights sum
+      to one algebraically.
+    """
+
+    def __init__(self, sample: ObservationSample, grid: EvaluationGrid,
+                 bandwidth: float | None = None):
+        h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(sample.z)
+        if h <= 0:
+            raise DomainError("bandwidth must be positive")
+        self.sample = sample
+        self.grid = grid
+        self.bandwidth = h
+        self._d = sample.d.astype(float)
+        self._order = np.argsort(sample.y, kind="stable")
+        self._y_sorted = sample.y[self._order]
+        # rank of y among the distinct values: equal y, equal rank
+        self._rank = np.empty(sample.n, dtype=np.intp)
+        self._rank[self._order] = np.concatenate(
+            ([0], np.cumsum(self._y_sorted[1:] != self._y_sorted[:-1])))
+        self._windows = [_window(sample.z, float(z0), h) for z0 in grid.z]
+
+    def table(self, idx: np.ndarray | None = None,
+              monotonize: bool = True) -> ConditionalCdfTable:
+        """Tables of the draw ``idx`` (None: the sample itself), repaired."""
+        if idx is None:
+            drawn = None
+            ymax = self._y_sorted[-1]
+        else:
+            drawn = np.zeros(self.sample.n, dtype=bool)
+            drawn[idx] = True
+            ymax = np.max(self.sample.y[idx])
+        ny, nz = self.grid.shape
+        F = np.empty((ny, nz))
+        F1 = np.empty((ny, nz))
+        p = np.empty(nz)
+        for j, win in enumerate(self._windows):
+            F[:, j], F1[:, j], p[j] = self._column(win, idx, drawn)
+        F[self.grid.y >= ymax] = 1.0
+        F0 = F - F1
+        p = np.clip(p, 0.0, 1.0)
+        F, F0, F1 = _repair_columns(F, F0, F1, monotonize)
+        return ConditionalCdfTable(grid=self.grid, F=F, F0=F0, F1=F1, p=p,
+                                   bandwidth=self.bandwidth, n_obs=self.sample.n)
+
+    def _column(self, win: _Window, idx, drawn) -> tuple:
+        """Raw F and F1 on the y grid, and p, for one z column."""
+        slots = win.slot if idx is None else win.slot[idx]
+        s0, s1, s2 = (float(row[slots].sum()) for row in win.moments)
+        if s0 <= 0.0:
+            raise NoSupportError(win.z0, self.bandwidth)
+        den = _ll_denominator(s0, s1, s2, self.bandwidth)
+        pos = (slots != 0).nonzero()[0]
+        k = slots[pos]
+        w = win.moments[0, k]
+        a = w / s0 if den is None else w * (s2 - s1 * win.dz[k]) / den
+        rec = pos if idx is None else idx[pos]
+        # unique keys (y rank, then draw position) let the faster unstable
+        # sort give the stable order; the zero-weight extras sort after
+        # every drawn record of equal y, where their place does not matter
+        n = self.sample.n
+        key = self._rank[rec] * (n + 1) + pos
+
+        live = self.sample.y[rec[(a != 0.0) & (self._d[rec] == 1.0)]]
+        limit = live.min() if live.size else np.inf
+        extra = self._zero_sign_records(win, drawn, limit, s0, s1, s2, den)
+        if extra:
+            out, zero = (np.array(v) for v in zip(*extra))
+            rec = np.concatenate((rec, out))
+            a = np.concatenate((a, zero))
+            key = np.concatenate((key, self._rank[out] * (n + 1) + n))
+
+        order = np.argsort(key)
+        rec = rec[order]
+        aw = a[order]
+        cum_all = np.concatenate(([0.0], np.cumsum(aw)))
+        cum_d1 = np.concatenate(([0.0], np.cumsum(aw * self._d[rec])))
+        at = np.searchsorted(self.sample.y[rec], self.grid.y, side="right")
+        return cum_all[at], cum_d1[at], float(cum_d1[-1])
+
+    def _zero_sign_records(self, win: _Window, drawn, limit: float, s0: float,
+                           s1: float, s2: float, den: float | None) -> list:
+        """Outside records, with their zero weights, that fix signed zeros.
+
+        Until the first nonzero F1 term (at y = ``limit``), a full-length
+        cumulative sum is -0.0 where every record so far weighs -0, and +0.0
+        otherwise.  Within y <= ``limit`` the lowest outside record and the
+        lowest outside record of weight +0 decide that, so those two join
+        the sorted window.  The scan runs up y in doubling chunks.
+        """
+        stop = np.searchsorted(self._y_sorted, limit, side="right")
+        found = []
+        start, size = 0, 64
+        while start < stop:
+            chunk = self._order[start:min(start + size, stop)]
+            chunk = chunk[win.slot[chunk] == 0]
+            if drawn is not None:
+                chunk = chunk[drawn[chunk]]
+            if chunk.size:
+                if den is None:
+                    zero = np.full(chunk.size, 0.0 / s0)
+                else:
+                    zero = 0.0 * (s2 - s1 * (self.sample.z[chunk] - win.z0)) / den
+                if not found:
+                    found.append((chunk[0], zero[0]))
+                plus = np.flatnonzero(~np.signbit(zero))
+                if plus.size:
+                    found.append((chunk[plus[0]], zero[plus[0]]))
+                    break
+            start += size
+            size *= 2
+        return found
 
 
 def _repair_columns(F: np.ndarray, F0: np.ndarray, F1: np.ndarray,
@@ -181,12 +335,21 @@ def _repair_columns(F: np.ndarray, F0: np.ndarray, F1: np.ndarray,
     Fm = np.maximum.accumulate(Fc, axis=0)
     Fm = np.clip(Fm, 0.0, 1.0)
     F1m = np.empty_like(F1c)
-    prev = np.clip(F1c[0], 0.0, Fm[0])
-    F1m[0] = prev
-    for i in range(1, F1c.shape[0]):
-        step = Fm[i] - Fm[i - 1]
-        prev = np.clip(F1c[i], prev, prev + step)
-        F1m[i] = prev
+    F1m[0] = np.clip(F1c[0], 0.0, Fm[0])
+    # the running clip is sequential in y, and on Python floats it runs
+    # about 2.5 times as fast as a row-by-row np.clip.  np.clip with array
+    # bounds returns the bound on a tie; the strict comparisons below do the
+    # same, which keeps signed zeros as they were.
+    for j, (fm, f1, prev) in enumerate(zip(Fm.T.tolist(), F1c.T.tolist(),
+                                           F1m[0].tolist())):
+        col = [prev]
+        for i in range(1, len(fm)):
+            hi = prev + (fm[i] - fm[i - 1])
+            x = f1[i]
+            prev = x if x > prev else prev
+            prev = prev if prev < hi else hi
+            col.append(prev)
+        F1m[:, j] = col
     F0m = Fm - F1m
     return Fm, F0m, F1m
 
@@ -197,24 +360,15 @@ def estimate_tables(sample: ObservationSample, grid: EvaluationGrid,
     """Estimate the conditional CDF decomposition on a grid.
 
     One set of local linear weights is computed per z column and applied to
-    every indicator response via a weighted cumulative sum, so the cost is
-    O(n log n + n_z * (n + n_y)).  Post-processing clips to [0, 1], rescales
-    F0, F1 proportionally so F = F0 + F1, and enforces monotonicity in y
-    (disable with ``monotonize=False`` for diagnostics).
+    every indicator response via a weighted cumulative sum over the records
+    inside the column's kernel window (``TableKernel``).  The cost is one
+    O(n log n) sort of y, O(n) per z column for the weights, and
+    O(m log m + n_y log m) per column for the m in-window records.
+    Post-processing clips to [0, 1], rescales F0, F1 proportionally so
+    F = F0 + F1, and enforces monotonicity in y (disable with
+    ``monotonize=False`` for diagnostics).
     """
-    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(sample.z)
-    ny, nz = grid.shape
-    F = np.empty((ny, nz))
-    F0 = np.empty((ny, nz))
-    F1 = np.empty((ny, nz))
-    p = np.empty(nz)
-    for j, z0 in enumerate(grid.z):
-        a = _ll_coefficients(sample.z, float(z0), h)
-        F[:, j], F0[:, j], F1[:, j], p[j] = _column_estimates(sample, grid.y, a)
-    p = np.clip(p, 0.0, 1.0)
-    F, F0, F1 = _repair_columns(F, F0, F1, monotonize)
-    return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p,
-                               bandwidth=h, n_obs=sample.n)
+    return TableKernel(sample, grid, bandwidth).table(monotonize=monotonize)
 
 
 def conditional_mean(sample: ObservationSample, responses: np.ndarray,

@@ -8,8 +8,11 @@ Pipeline for the lower-bound band, mirrored for the upper:
      epsilon-monotonization  out_k = max(raw_k, out_{k-1} + eps);
   3. invert every fiber at x = F1(y|z) with the same right-continuous
      convention as the envelope module's generalized inverse;
-  4. pairs bootstrap of whole records, per-replication seeds split from the
-     master seed, giving cellwise standard errors and centered draws;
+  4. pairs bootstrap of whole records: each replication draws n record
+     indices from its own child of the master seed, and the estimation
+     module's table kernel turns that index draw into the resample's tables
+     directly (no resampled copy of the data, bit for bit the tables of the
+     copy), giving cellwise standard errors and centered draws;
   5. critical value by the two-stage intersection-bounds recipe: a
      preliminary quantile of the studentized max over a y-subset screens
      out slack fibers (adaptive inequality selection), the final quantile
@@ -24,14 +27,17 @@ so Cn <= the point estimate at every cell by construction.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .estimation import ConditionalCdfTable, estimate_tables, silverman_bandwidth
+from .estimation import (
+    ConditionalCdfTable,
+    TableKernel,
+    estimate_tables,
+    silverman_bandwidth,
+)
 from .model import EvaluationGrid, ObservationSample, _philox
 
 SE_FLOOR = 1e-8
@@ -141,21 +147,11 @@ def _theta(table: ConditionalCdfTable, pairs, Gstar: np.ndarray, side: str):
     return theta, clamped
 
 
-def _theta_from_sample(sample, grid, bandwidth, epsilon, side):
-    table = estimate_tables(sample, grid, bandwidth)
-    pairs, G = _fiber_matrix(table, side, sample.lower_support_bound)
+def _theta_from_table(table: ConditionalCdfTable, epsilon: float, side: str,
+                      lower_support_bound: float) -> tuple:
+    pairs, G = _fiber_matrix(table, side, lower_support_bound)
     theta, clamped = _theta(table, pairs, monotonize_eps(G, epsilon), side)
-    return table, pairs, theta, clamped
-
-
-def worker_count(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(int(workers), 1)
-    env = os.environ.get("ROYBOUNDS_WORKERS", "")
-    try:
-        return max(int(env), 1)
-    except ValueError:
-        return 1
+    return pairs, theta, clamped
 
 
 @dataclass(frozen=True)
@@ -171,43 +167,31 @@ class BootstrapResult:
 
 def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
                      bandwidth: float | None = None, epsilon: float | None = None,
-                     B: int = 200, seed: int = 0, side: str = "lower",
-                     workers: int | None = None) -> BootstrapResult:
+                     B: int = 200, seed: int = 0,
+                     side: str = "lower") -> BootstrapResult:
     """Pairs bootstrap of the fiber inverses.
 
     Replications resample whole (y, d, z) records, keeping their dependence.
-    Each replication gets a child of the master seed, and draws land in a
-    preallocated slot, so results do not depend on execution order.
+    Replication b draws n record indices from the b-th child of the master
+    seed; the table kernel estimates that resample's tables from the index
+    draw alone, with the full sample's bandwidth.
     """
     if B < 50:
         raise ConfigError(f"need at least 50 bootstrap replications, got {B}")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(sample.z)
+    kernel = TableKernel(sample, grid, bandwidth)
+    lsb = sample.lower_support_bound
     if epsilon is None:
-        _, G = _fiber_matrix(estimate_tables(sample, grid, bandwidth), side,
-                             sample.lower_support_bound)
+        _, G = _fiber_matrix(kernel.table(), side, lsb)
         epsilon = default_epsilon(G)
     seeds = np.random.SeedSequence(seed).spawn(B)
     n = sample.n
     pairs = _pairs(grid.z.size, side)
     draws = np.empty((B, grid.y.size, len(pairs)))
-
-    def one(b):
-        rng = _philox(seeds[b])
-        idx = rng.integers(0, n, size=n)
-        boot = ObservationSample(y=sample.y[idx], d=sample.d[idx],
-                                 z=sample.z[idx],
-                                 lower_support_bound=sample.lower_support_bound)
-        _, _, theta_b, _ = _theta_from_sample(boot, grid, bandwidth, epsilon, side)
-        draws[b] = theta_b
-
-    nworkers = worker_count(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(one, range(B)))
-    else:
-        for b in range(B):
-            one(b)
+    for b in range(B):
+        idx = _philox(seeds[b]).integers(0, n, size=n)
+        _, draws[b], _ = _theta_from_table(kernel.table(idx), epsilon, side, lsb)
     sn = np.maximum(np.std(draws, axis=0, ddof=1), SE_FLOOR)
     return BootstrapResult(sn=sn, draws=draws, pairs=pairs, epsilon=epsilon,
                            bandwidth=bandwidth, B=B, seed=seed)
@@ -308,20 +292,33 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid | None = Non
                     bandwidth: float | None = None, alpha: float = 0.05,
                     B: int = 200, seed: int = 0, epsilon: float | None = None,
                     subset_indices=None, side: str = "lower",
-                    workers: int | None = None) -> ConfidenceBand:
-    """End-to-end band construction from a sample."""
+                    table: ConditionalCdfTable | None = None) -> ConfidenceBand:
+    """End-to-end band construction from a sample.
+
+    ``table`` passes the sample's tables when the caller has estimated them
+    already; the grid and bandwidth then default to the table's.  Otherwise
+    the tables are estimated here, once: they give the default epsilon and
+    the point estimate.
+    """
+    if table is not None:
+        grid = table.grid if grid is None else grid
+        bandwidth = table.bandwidth if bandwidth is None else bandwidth
+        same_grid = (np.array_equal(table.grid.y, grid.y)
+                     and np.array_equal(table.grid.z, grid.z))
+        if not same_grid or table.bandwidth != bandwidth or table.n_obs != sample.n:
+            raise DomainError("table was estimated on another sample, grid or bandwidth")
     if grid is None:
         grid = EvaluationGrid.from_sample(sample)
     if bandwidth is None:
         bandwidth = silverman_bandwidth(sample.z)
+    if table is None:
+        table = estimate_tables(sample, grid, bandwidth)
+    lsb = sample.lower_support_bound
     if epsilon is None:
-        _, G = _fiber_matrix(estimate_tables(sample, grid, bandwidth), side,
-                             sample.lower_support_bound)
+        _, G = _fiber_matrix(table, side, lsb)
         epsilon = default_epsilon(G)
-    table, pairs, theta, clamped = _theta_from_sample(
-        sample, grid, bandwidth, epsilon, side)
-    boot = bootstrap_errors(sample, grid, bandwidth, epsilon, B, seed,
-                            side=side, workers=workers)
+    pairs, theta, clamped = _theta_from_table(table, epsilon, side, lsb)
+    boot = bootstrap_errors(sample, grid, bandwidth, epsilon, B, seed, side=side)
     if subset_indices is None:
         subset_indices = default_selection_subset(grid.y, sample.y)
     Cn, Chat, se_binding, crit, selected = clr_band(

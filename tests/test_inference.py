@@ -1,5 +1,7 @@
 """Band construction: monotonization, fiber inversion, bootstrap, CLR step."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from roybounds import (
     invert_g,
     monotonize_eps,
     population_tables,
+    write_sample_csv,
 )
+from roybounds.cli import main
 from roybounds.errors import ConfigError, DomainError
 from roybounds.inference import SE_FLOOR, monotonize_eps as _mono
 
@@ -222,11 +226,34 @@ def test_bootstrap_same_seed_reproduces(small_grid):
     assert not np.array_equal(a.sn, c.sn)
 
 
-def test_bootstrap_worker_count_does_not_change_draws(small_grid):
-    s = _tiny_sample()
-    a = bootstrap_errors(s, small_grid, bandwidth=0.3, B=50, seed=4, workers=1)
-    b = bootstrap_errors(s, small_grid, bandwidth=0.3, B=50, seed=4, workers=4)
-    assert np.array_equal(a.draws, b.draws)
+def test_bootstrap_worker_count_does_not_change_draws(tmp_path):
+    # --workers and the workers config key are accepted and have no effect
+    s = _tiny_sample(400)
+    sample_csv = tmp_path / "sample.csv"
+    write_sample_csv(s, sample_csv, {})
+    config = tmp_path / "config.json"
+    config.write_text('{"workers": 3}')
+    runs = {"none": [], "flag": ["--workers", "4"], "config": ["--config", str(config)]}
+    bands = {}
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.csv"
+        code = main(["infer", "--input", str(sample_csv), "--output", str(out),
+                     "--bootstrap", "50", "--grid-y", "15", "--grid-z", "3",
+                     "--bandwidth", "0.3", "--seed", "4"] + extra)
+        assert code in (0, 2)
+        bands[name] = json.loads(out.with_suffix(".json").read_text())["data"]
+    assert bands["flag"] == bands["none"]
+    assert bands["config"] == bands["none"]
+
+
+def test_band_reuses_a_passed_table(quasi_sample, small_grid):
+    table = estimate_tables(quasi_sample, small_grid, 0.2)
+    a = confidence_band(quasi_sample, small_grid, bandwidth=0.2, B=50, seed=1)
+    b = confidence_band(quasi_sample, B=50, seed=1, table=table)
+    assert np.array_equal(a.Cn, b.Cn)
+    assert a.critical_value == b.critical_value
+    with pytest.raises(DomainError):
+        confidence_band(quasi_sample, small_grid, bandwidth=0.3, B=50, table=table)
 
 
 def test_degenerate_sample_hits_se_floor():

@@ -1,0 +1,216 @@
+"""The table kernel against the estimator it replaced, bit for bit.
+
+The reference below is the earlier estimator, kept verbatim in spirit: build
+the resample ``(y[idx], d[idx], z[idx])``, then per z column compute the
+local linear weights over all n records, stable-argsort all of y and take
+full-length cumulative sums.  The kernel must give the same floats, signed
+zeros included, for the sample itself and for any index draw.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from roybounds import EvaluationGrid, ObservationSample, generate_sample
+from roybounds.errors import NoSupportError
+from roybounds.estimation import (
+    ConditionalCdfTable,
+    TableKernel,
+    _repair_columns,
+    epanechnikov,
+)
+from roybounds.inference import (
+    _fiber_matrix,
+    _theta,
+    bootstrap_errors,
+    default_epsilon,
+    monotonize_eps,
+)
+from roybounds.model import _philox
+
+from conftest import quasi_dgp_spec
+
+
+# -- reference: resample, then one full stable argsort per z column ------------
+
+def _reference_weights(z, z0, h):
+    w = epanechnikov((z - z0) / h)
+    s0 = float(np.sum(w))
+    if s0 <= 0.0:
+        raise NoSupportError(z0, h)
+    dz = z - z0
+    s1 = float(np.sum(w * dz))
+    s2 = float(np.sum(w * dz * dz))
+    den = s0 * s2 - s1 * s1
+    if den <= 1e-12 * max(s0 * s2, s1 * s1, s0 * s0 * h * h):
+        return w / s0
+    return w * (s2 - s1 * dz) / den
+
+
+def _reference_repair(F, F0, F1):
+    Fc = np.clip(F, 0.0, 1.0)
+    F0c = np.clip(F0, 0.0, 1.0)
+    F1c = np.clip(F1, 0.0, 1.0)
+    s = F0c + F1c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(s > 0, Fc / np.where(s > 0, s, 1.0), 0.0)
+    F1c = F1c * scale
+    Fm = np.clip(np.maximum.accumulate(Fc, axis=0), 0.0, 1.0)
+    F1m = np.empty_like(F1c)
+    prev = np.clip(F1c[0], 0.0, Fm[0])
+    F1m[0] = prev
+    for i in range(1, F1c.shape[0]):
+        step = Fm[i] - Fm[i - 1]
+        prev = np.clip(F1c[i], prev, prev + step)
+        F1m[i] = prev
+    return Fm, Fm - F1m, F1m
+
+
+def _reference_tables(sample, grid, h, idx=None):
+    if idx is None:
+        idx = np.arange(sample.n)
+    y, d, z = sample.y[idx], sample.d[idx], sample.z[idx]
+    ny, nz = grid.shape
+    F, F0, F1, p = np.empty((ny, nz)), np.empty((ny, nz)), np.empty((ny, nz)), np.empty(nz)
+    for j, z0 in enumerate(grid.z):
+        a = _reference_weights(z, float(z0), h)
+        order = np.argsort(y, kind="stable")
+        aw = a[order]
+        cum_all = np.concatenate(([0.0], np.cumsum(aw)))
+        cum_d1 = np.concatenate(([0.0], np.cumsum(aw * d[order].astype(float))))
+        cum_all[-1] = 1.0
+        at = np.searchsorted(y[order], grid.y, side="right")
+        F[:, j], F1[:, j], p[j] = cum_all[at], cum_d1[at], cum_d1[-1]
+        F0[:, j] = F[:, j] - F1[:, j]
+    F, F0, F1 = _reference_repair(F, F0, F1)
+    return F, F0, F1, np.clip(p, 0.0, 1.0)
+
+
+def _assert_bitwise(table, ref):
+    for name, want in zip(("F", "F0", "F1", "p"), ref):
+        got = getattr(table, name)
+        assert np.array_equal(got, want), name
+        assert got.tobytes() == want.tobytes(), f"{name}: signed zeros differ"
+
+
+def _check(sample, grid, h, draws=4, seed=0):
+    kernel = TableKernel(sample, grid, h)
+    h = kernel.bandwidth
+    _assert_bitwise(kernel.table(), _reference_tables(sample, grid, h))
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        idx = rng.integers(0, sample.n, size=sample.n)
+        _assert_bitwise(kernel.table(idx), _reference_tables(sample, grid, h, idx))
+
+
+def _two_cluster_sample(n=400, seed=5):
+    rng = np.random.default_rng(seed)
+    return ObservationSample(
+        y=rng.uniform(1.0, 3.0, n),
+        d=(rng.uniform(size=n) < 0.5).astype(np.int8),
+        z=np.where(rng.uniform(size=n) < 0.5, 0.25, 0.75))
+
+
+# -- the cases -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n,n_y,n_z,seed", [(2000, 25, 5, 2), (500, 40, 6, 3),
+                                            (20000, 200, 8, 1)])
+def test_random_samples_and_draws(n, n_y, n_z, seed):
+    sample = generate_sample(quasi_dgp_spec(), n, seed=seed)
+    grid = EvaluationGrid.from_sample(sample, n_y, n_z)
+    # n = 20 000 takes the default (Silverman) bandwidth
+    _check(sample, grid, h=None if n == 20000 else 0.2,
+           draws=2 if n == 20000 else 5, seed=seed)
+
+
+def test_heavy_ties_in_y():
+    base = generate_sample(quasi_dgp_spec(), 3000, seed=4)
+    y = np.round(base.y, 1)
+    sample = ObservationSample(y=y, d=base.d, z=base.z,
+                               lower_support_bound=float(min(0.0, y.min())))
+    assert np.unique(y).size < sample.n / 20
+    _check(sample, EvaluationGrid.from_sample(sample, 40, 5), h=0.15, draws=6)
+
+
+def test_singular_window_takes_nadaraya_watson():
+    # every in-window z equals z0, so the local design is singular
+    sample = _two_cluster_sample()
+    grid = EvaluationGrid(y=np.linspace(0.5, 3.5, 30), z=np.array([0.25, 0.75]))
+    _check(sample, grid, h=0.3, draws=10)
+
+
+def test_records_exactly_on_the_window_edge():
+    # z0 = 0.25, h = 0.5: the z = 0.75 cluster sits at |u| = 1, weight 0
+    sample = _two_cluster_sample(seed=6)
+    grid = EvaluationGrid(y=np.linspace(0.5, 3.5, 30), z=np.array([0.25, 0.75]))
+    assert epanechnikov(np.array([(0.75 - 0.25) / 0.5]))[0] == 0.0
+    _check(sample, grid, h=0.5, draws=10)
+    mixed = EvaluationGrid(y=np.linspace(0.5, 3.5, 30), z=np.array([0.2, 0.5, 0.8]))
+    _check(sample, mixed, h=0.3, draws=10)
+
+
+def test_grid_at_and_above_max_y():
+    sample = generate_sample(quasi_dgp_spec(), 1500, seed=8)
+    top = float(np.max(sample.y))
+    y = np.concatenate((np.quantile(sample.y, np.linspace(0.0, 0.9, 20)),
+                        [top, top + 0.5, top + 3.0]))
+    grid = EvaluationGrid(y=np.unique(y), z=np.linspace(0.1, 0.9, 4))
+    _check(sample, grid, h=0.25, draws=8)
+
+
+def test_one_sided_outcomes():
+    rng = np.random.default_rng(12)
+    n = 600
+    for d_value in (0, 1):
+        sample = ObservationSample(y=rng.uniform(1.0, 3.0, n),
+                                   d=np.full(n, d_value, dtype=np.int8),
+                                   z=rng.uniform(0.0, 1.0, n))
+        _check(sample, EvaluationGrid.from_sample(sample, 20, 4), h=0.3, draws=4)
+
+
+def test_empty_window_raises_like_the_reference():
+    sample = _two_cluster_sample()
+    grid = EvaluationGrid(y=np.linspace(0.5, 3.5, 5), z=np.array([0.5]))
+    with pytest.raises(NoSupportError):
+        _reference_tables(sample, grid, 0.25)
+    with pytest.raises(NoSupportError):
+        TableKernel(sample, grid, 0.25).table()
+
+
+def test_bootstrap_draws_equal_the_resampling_path():
+    sample = generate_sample(quasi_dgp_spec(), 1500, seed=21)
+    grid = EvaluationGrid.from_sample(sample, 25, 4)
+    h, seed, B = 0.2, 17, 50
+    lsb = sample.lower_support_bound
+    boot = bootstrap_errors(sample, grid, bandwidth=h, B=B, seed=seed)
+
+    def reference_table(idx=None):
+        F, F0, F1, p = _reference_tables(sample, grid, h, idx)
+        return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p,
+                                   bandwidth=h, n_obs=sample.n)
+
+    eps = default_epsilon(_fiber_matrix(reference_table(), "lower", lsb)[1])
+    assert boot.epsilon == eps
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(B)):
+        table = reference_table(_philox(child).integers(0, sample.n, size=sample.n))
+        pairs, G = _fiber_matrix(table, "lower", lsb)
+        theta, _ = _theta(table, pairs, monotonize_eps(G, eps), "lower")
+        assert np.array_equal(boot.draws[b], theta), b
+
+
+# -- the repair loop on Python floats against the row-by-row np.clip ------------
+
+_cells = st.floats(min_value=-0.5, max_value=1.5, allow_subnormal=False) | st.sampled_from(
+    [0.0, -0.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda ny: st.integers(1, 4).flatmap(
+    lambda nz: st.tuples(*(arrays(np.float64, (ny, nz), elements=_cells)
+                           for _ in range(3))))))
+def test_repair_matches_row_by_row_clip(tables):
+    # random, non-monotone and out-of-range raw tables, signed zeros included
+    for got, want in zip(_repair_columns(*tables, True), _reference_repair(*tables)):
+        assert got.tobytes() == want.tobytes()
