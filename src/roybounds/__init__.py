@@ -50,14 +50,11 @@ from .estimation import (
 from .inference import (
     BootstrapResult,
     ConfidenceBand,
-    GTable,
     bootstrap_errors,
-    build_g_table,
     clr_band,
     confidence_band,
     default_epsilon,
     default_selection_subset,
-    invert_g,
     monotonize_eps,
 )
 from .model import (
@@ -102,9 +99,9 @@ __all__ = [
     "NoSupportError", "RoyBoundsError",
     "ConditionalCdfTable", "conditional_mean", "estimate_tables",
     "local_linear_fit", "silverman_bandwidth",
-    "BootstrapResult", "ConfidenceBand", "GTable", "bootstrap_errors",
-    "build_g_table", "clr_band", "confidence_band", "default_epsilon",
-    "default_selection_subset", "invert_g", "monotonize_eps",
+    "BootstrapResult", "ConfidenceBand", "bootstrap_errors", "clr_band",
+    "confidence_band", "default_epsilon", "default_selection_subset",
+    "monotonize_eps",
     "DgpSpec", "EvaluationGrid", "ObservationSample", "SectorUtilityPair",
     "SmivReport", "ZLaw", "check_smiv", "check_smiv_data",
     "cost_from_utilities", "generate_sample", "true_cost", "utility_pair",

@@ -21,7 +21,7 @@ the generalized inverse's defining set is empty on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .envelopes import (
     CrossingReport,
     crossing_test,
     envelope_table,
-    generalized_inverse,
     sandwich,
 )
 from .errors import DomainError
@@ -57,8 +56,7 @@ class BoundSurface:
 
 def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
                    identification_tol: float | None = None,
-                   crossing_tol: float = 1e-9,
-                   interpolate: bool = False) -> BoundSurface:
+                   crossing_tol: float = 1e-9) -> BoundSurface:
     """Perfect-foresight bounds from envelope and sandwich inversion.
 
     Rejection (envelopes crossing, or L exceeding U) is flagged on the
@@ -80,23 +78,15 @@ def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
     mask = np.zeros((ny, nz), dtype=bool)
     for iz in range(nz):
         x = table.F1[:, iz]
-        Lcol = sw.L[:, iz]
-        Ucol = sw.U[:, iz]
-        idx_low = np.searchsorted(Lcol, x, side="right")
-        idx_up = np.searchsorted(Ucol, x, side="left")
+        idx_low = np.searchsorted(sw.L[:, iz], x, side="right")
+        idx_up = np.searchsorted(sw.U[:, iz], x, side="left")
         # U never reaching x leaves the upper inverse's set empty on the
         # grid; the cell goes dark rather than carrying a -inf bound
         keep = (x >= identification_tol) & (idx_up < ny)
         if not np.any(keep):
             continue
-        if interpolate:
-            linv = np.array([generalized_inverse(y, Lcol, xv, "lower", True)
-                             for xv in x[keep]])
-            uinv = np.array([generalized_inverse(y, Ucol, xv, "upper", True)
-                             for xv in x[keep]])
-        else:
-            linv = y[np.minimum(idx_low[keep], ny - 1)]
-            uinv = y[np.maximum(idx_up[keep] - 1, 0)]
+        linv = y[np.minimum(idx_low[keep], ny - 1)]
+        uinv = y[np.maximum(idx_up[keep] - 1, 0)]
         # U already at/above x on the first grid point: the crossing sits
         # off-grid in [b_lower, y[0]] because shifted income of sector-1
         # choosers never falls below the outcome support bound

@@ -22,16 +22,17 @@ import numpy as np
 
 from .bounds import cost_bounds_if, cost_bounds_pf, random_cost_bounds, testability_if
 from .coverage import run_coverage
-from .envelopes import envelope_table
 from .errors import ConfigError, RoyBoundsError
-from .estimation import estimate_tables, silverman_bandwidth
+from .estimation import estimate_tables
 from .inference import confidence_band
 from .model import DgpSpec, EvaluationGrid, generate_sample
 from .reporting import (
     cost_survival,
     ingest_csv,
     json_ready,
+    survival_to_dict,
     write_band_csv,
+    write_coverage_csv,
     write_if_curve_csv,
     write_json_sidecar,
     write_random_cost_csv,
@@ -40,14 +41,6 @@ from .reporting import (
     write_survival_csv,
     write_table_csv,
 )
-
-_DEFAULTS = dict(
-    input=None, output=None, bandwidth=None, alpha=0.05, bootstrap=200,
-    seed=0, epsilon=None, grid_y=200, grid_z=8, mode="pf", crossing_tol=None,
-    cost_points=41, cost_max=None, side="lower", z_bins=None, n=1000,
-    reps=200, workers=None, dgp=None, subset_indices=None,
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -102,12 +95,24 @@ class RunConfig:
             raise ConfigError(f"unknown bounds mode {self.mode!r}")
         if self.side not in ("lower", "upper"):
             raise ConfigError(f"unknown band side {self.side!r}")
+        if self.z_bins is not None:
+            try:
+                edges = np.asarray(self.z_bins, dtype=float)
+            except (TypeError, ValueError):
+                edges = np.empty(0)
+            if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+                    or np.any(np.diff(edges) <= 0)):
+                raise ConfigError("z-bins must be at least 2 finite, strictly "
+                                  f"increasing edges, got {self.z_bins!r}")
         if self.command in ("simulate", "coverage") and self.dgp is None:
             raise ConfigError(f"{self.command} needs a dgp section in the config file")
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         return json_ready(out)
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
 
 def _load_config_file(path) -> dict:
@@ -237,14 +242,16 @@ def _cmd_estimate(config: RunConfig) -> int:
 
 def _cmd_bounds(config: RunConfig) -> int:
     sample = _require_input(config)
+    sample.require_z_variation()
     grid = EvaluationGrid.from_sample(sample, config.grid_y, config.grid_z)
     echo = config.echo()
     modes = ("pf", "if", "random") if config.mode == "all" else (config.mode,)
+    if config.mode != "if":
+        table = estimate_tables(sample, grid, config.bandwidth)
     status = 0
     for mode in modes:
         out = _tagged(config.output, mode) if config.mode == "all" else Path(config.output)
         if mode == "pf":
-            table = estimate_tables(sample, grid, config.bandwidth)
             surface = cost_bounds_pf(table, sample.lower_support_bound,
                                      crossing_tol=_crossing_tol(config, sample.n))
             write_surface_csv(surface, out, echo)
@@ -269,7 +276,6 @@ def _cmd_bounds(config: RunConfig) -> int:
                 "testability_rejected": report.rejected,
                 "testability_worst": report.worst_violation}, echo)
         else:
-            table = estimate_tables(sample, grid, config.bandwidth)
             top = config.cost_max
             if top is None:
                 top = float(grid.y[-1] - grid.y[0])
@@ -285,6 +291,7 @@ def _cmd_bounds(config: RunConfig) -> int:
 
 def _cmd_infer(config: RunConfig) -> int:
     sample = _require_input(config)
+    sample.require_z_variation()
     grid = EvaluationGrid.from_sample(sample, config.grid_y, config.grid_z)
     echo = config.echo()
     table = estimate_tables(sample, grid, config.bandwidth)
@@ -308,7 +315,6 @@ def _cmd_infer(config: RunConfig) -> int:
     summary = cost_survival(band, sample, z_bins=z_bins)
     survival_out = _tagged(config.output, "survival")
     write_survival_csv(summary, survival_out, echo)
-    from .reporting import survival_to_dict
     write_json_sidecar(survival_out, "survival_summary",
                        survival_to_dict(summary), echo)
     return 2 if surface.rejected else 0
@@ -331,16 +337,7 @@ def _cmd_coverage(config: RunConfig) -> int:
                           B=config.bootstrap, seed=config.seed,
                           bandwidth=config.bandwidth, epsilon=config.epsilon)
     echo = config.echo()
-    from .reporting import _open_writer, fmt
-    handle, writer = _open_writer(config.output, echo)
-    with handle:
-        writer.writerow(["y", "z", "coverage_vs_lower", "coverage_vs_cost", "count"])
-        for iz, zv in enumerate(report.grid.z):
-            for iy, yv in enumerate(report.grid.y):
-                writer.writerow([fmt(yv), fmt(zv),
-                                 fmt(report.pointwise_vs_lower[iy, iz]),
-                                 fmt(report.pointwise_vs_cost[iy, iz]),
-                                 fmt(report.cell_counts[iy, iz])])
+    write_coverage_csv(report, config.output, echo)
     write_json_sidecar(config.output, "coverage_report", report.to_dict(), echo)
     return 0
 

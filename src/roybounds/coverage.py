@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundSurface, cost_bounds_pf
+from .bounds import cost_bounds_pf
 from .errors import ConfigError
 from .inference import confidence_band
 from .model import DgpSpec, EvaluationGrid, generate_sample, true_cost

@@ -103,7 +103,7 @@ def sandwich(table: ConditionalCdfTable, Flow: np.ndarray, Fhigh: np.ndarray) ->
 
 
 def generalized_inverse(y_grid: np.ndarray, values: np.ndarray, x: float,
-                        kind: str = "lower", interpolate: bool = False) -> float:
+                        kind: str = "lower") -> float:
     """Generalized inverse of a non-decreasing tabulated column.
 
     kind="lower": sup{y : v(y) <= x}, resolved on the grid as the first
@@ -114,9 +114,7 @@ def generalized_inverse(y_grid: np.ndarray, values: np.ndarray, x: float,
     brackets the crossing between two adjacent points and cost bounds need
     the conservative end of that bracket.  Both clamp to the grid endpoints
     when the defining set is empty or everything qualifies; callers that
-    must distinguish emptiness check the column range themselves.  With
-    ``interpolate`` the crossing is located linearly between the bracketing
-    grid points.
+    must distinguish emptiness check the column range themselves.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -132,11 +130,4 @@ def generalized_inverse(y_grid: np.ndarray, values: np.ndarray, x: float,
         return float(y_grid[-1])
     if idx == 0:
         return float(y_grid[0])
-    snap = idx if kind == "lower" else idx - 1
-    if not interpolate:
-        return float(y_grid[snap])
-    v0, v1 = values[idx - 1], values[idx]
-    if v1 <= v0:
-        return float(y_grid[snap])
-    t = (x - v0) / (v1 - v0)
-    return float(y_grid[idx - 1] + t * (y_grid[idx] - y_grid[idx - 1]))
+    return float(y_grid[idx if kind == "lower" else idx - 1])

@@ -64,19 +64,6 @@ def default_epsilon(G: np.ndarray) -> float:
     return 1e-4 * span
 
 
-@dataclass(frozen=True)
-class GTable:
-    """Raw and monotonized fibers, one column per (z, ztilde) pair."""
-
-    y_grid: np.ndarray
-    z_grid: np.ndarray
-    pairs: tuple
-    G: np.ndarray
-    Gstar: np.ndarray
-    bandwidth: float
-    epsilon: float
-
-
 def _pairs(nz: int, side: str) -> tuple:
     if side == "lower":
         return tuple((i, j) for i in range(nz) for j in range(i, nz))
@@ -95,32 +82,6 @@ def _fiber_matrix(table: ConditionalCdfTable, side: str,
         cols = [table.F0[:, j] + table.p[j] * ind - table.F0[:, i]
                 for i, j in pairs]
     return pairs, np.column_stack(cols)
-
-
-def build_g_table(sample: ObservationSample, grid: EvaluationGrid,
-                  bandwidth: float | None = None, epsilon: float | None = None,
-                  side: str = "lower") -> GTable:
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(sample.z)
-    table = estimate_tables(sample, grid, bandwidth)
-    pairs, G = _fiber_matrix(table, side, sample.lower_support_bound)
-    if epsilon is None:
-        epsilon = default_epsilon(G)
-    return GTable(y_grid=grid.y, z_grid=grid.z, pairs=pairs, G=G,
-                  Gstar=monotonize_eps(G, epsilon), bandwidth=bandwidth,
-                  epsilon=epsilon)
-
-
-def invert_g(gtable: GTable, z_index: int, x: float) -> np.ndarray:
-    """Fiber inverses sup{ytilde : Gstar <= x} at one z, one target value."""
-    out = []
-    y = gtable.y_grid
-    for k, (i, _) in enumerate(gtable.pairs):
-        if i != z_index:
-            continue
-        idx = int(np.searchsorted(gtable.Gstar[:, k], x, side="right"))
-        out.append(y[min(idx, y.size - 1)])
-    return np.array(out)
 
 
 def _theta(table: ConditionalCdfTable, pairs, Gstar: np.ndarray, side: str):
@@ -206,7 +167,6 @@ class ConfidenceBand:
     Chat: np.ndarray
     se: np.ndarray
     critical_value: float
-    critical_values: np.ndarray
     identified_mask: np.ndarray
     alpha: float
     B: int
@@ -333,7 +293,6 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid | None = Non
         mask[:, iz] &= ~np.any(clamped[:, cols], axis=1)
     return ConfidenceBand(grid=grid, Cn=Cn, Chat=Chat, se=se_binding,
                           critical_value=crit,
-                          critical_values=np.full(Cn.shape, crit),
                           identified_mask=mask, alpha=alpha, B=B, seed=seed,
                           epsilon=epsilon, bandwidth=bandwidth, side=side,
                           subset_indices=tuple(int(i) for i in subset_indices),

@@ -24,8 +24,8 @@ foresight).  Ties go to sector 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -239,18 +239,6 @@ class SectorUtilityPair:
 
     u0: Callable
     u1: Callable
-
-    def check_monotone(self, y_points: Sequence[float], z_points: Sequence[float],
-                       tol: float = 1e-12) -> None:
-        """Spot-check monotonicity in y on a probe grid; raises on violation."""
-        ys = np.sort(np.asarray(y_points, dtype=float))
-        if ys.size < 2:
-            return
-        for z in np.asarray(z_points, dtype=float):
-            for u, name in ((self.u0, "u0"), (self.u1, "u1")):
-                vals = np.array([float(u(y, z)) for y in ys])
-                if np.any(np.diff(vals) <= -tol):
-                    raise InvalidUtilityError(f"{name} is not increasing in y at z={z!r}")
 
 
 def cost_from_utilities(pair: SectorUtilityPair, y: float, z: float,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.stats import norm
 
-from .errors import DomainError, InvalidDgpError
+from .errors import DomainError
 from .estimation import ConditionalCdfTable
 from .model import DgpSpec, EvaluationGrid, SmivReport, _monotone_in_z_report
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundSurface, IfBoundCurve, RandomCostCdfBounds
-from .envelopes import EnvelopeTable, SandwichTable
+from .coverage import CoverageReport
 from .errors import DomainError
 from .estimation import ConditionalCdfTable
 from .inference import ConfidenceBand
@@ -175,16 +175,6 @@ def write_table_csv(table: ConditionalCdfTable, path, config=None) -> None:
                      per_z=[("p", table.p)])
 
 
-def write_envelope_csv(env: EnvelopeTable, path, config=None) -> None:
-    _write_grid_long(path, config, env.grid.y, env.grid.z,
-                     ["Flow", "Fhigh"], [env.Flow, env.Fhigh])
-
-
-def write_sandwich_csv(sw: SandwichTable, path, config=None) -> None:
-    _write_grid_long(path, config, sw.grid.y, sw.grid.z, ["L", "U"],
-                     [sw.L, sw.U])
-
-
 def write_surface_csv(surface: BoundSurface, path, config=None) -> None:
     _write_grid_long(path, config, surface.grid.y, surface.grid.z,
                      ["clow", "chigh", "identified"],
@@ -215,8 +205,16 @@ def write_random_cost_csv(rc: RandomCostCdfBounds, path, config=None) -> None:
 def write_band_csv(band: ConfidenceBand, path, config=None) -> None:
     _write_grid_long(path, config, band.grid.y, band.grid.z,
                      ["Cn", "estimate", "se", "critval", "identified"],
-                     [band.Cn, band.Chat, band.se, band.critical_values,
+                     [band.Cn, band.Chat, band.se,
+                      np.full(band.Cn.shape, band.critical_value),
                       band.identified_mask.astype(float)])
+
+
+def write_coverage_csv(report: CoverageReport, path, config=None) -> None:
+    _write_grid_long(path, config, report.grid.y, report.grid.z,
+                     ["coverage_vs_lower", "coverage_vs_cost", "count"],
+                     [report.pointwise_vs_lower, report.pointwise_vs_cost,
+                      report.cell_counts])
 
 
 def read_long_csv(path):

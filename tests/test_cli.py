@@ -218,3 +218,37 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "estimate" in proc.stdout
+
+
+@pytest.mark.parametrize("source", [
+    ["--z-bins=0.9,0.5,0.1"], ["--z-bins=0.5"], ["--z-bins=0.2,0.2,0.8"],
+    ["--z-bins=0.1,nan,0.9"], {"z_bins": ["low", "high"]}],
+    ids=["decreasing", "one-edge", "repeated-edge", "nan-edge", "config-text"])
+def test_bad_z_bins_are_config_errors(tmp_path, capsys, source):
+    sample = _simulated(tmp_path, n=200)
+    if isinstance(source, dict):
+        source = ["--config", _config_file(tmp_path, **source)]
+    out = tmp_path / "band.csv"
+    code = main(["infer", "--input", sample, "--output", str(out),
+                 "--bootstrap", "50", *source])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: z-bins") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_single_z_value_is_rejected_by_bound_commands(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "flat.csv"
+    rows = [f"{float(y)!r},{int(d)},0.5" for y, d in
+            zip(rng.uniform(1, 3, 300), rng.uniform(size=300) < 0.5)]
+    path.write_text("y,d,z\n" + "\n".join(rows) + "\n")
+    common = ["--input", str(path), "--grid-y", "10", "--grid-z", "3"]
+    for args in (["bounds", "--mode", "pf"], ["bounds", "--mode", "if"],
+                 ["bounds", "--mode", "random"], ["bounds", "--mode", "all"],
+                 ["infer", "--bootstrap", "50"]):
+        assert main(args + common + ["--output", str(tmp_path / "b.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: bound operations need at least 2 distinct z values\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["flat.csv"]
+    assert main(["estimate", *common, "--output", str(tmp_path / "t.csv")]) == 0

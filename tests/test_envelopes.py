@@ -209,17 +209,9 @@ def test_lower_inverse_whole_domain():
     assert generalized_inverse(STEP_Y, STEP_V, 0.7, kind="lower") == 1.0
 
 
-def test_lower_inverse_identity_interpolated():
-    y = np.linspace(0.0, 1.0, 11)
-    got = generalized_inverse(y, y, 0.37, kind="lower", interpolate=True)
-    assert got == pytest.approx(0.37)
-
-
 def test_upper_inverse_conservative_bracket():
     # inf{y: v(y) >= x} lies in (0, 0.5]; grid answer takes the known side
     assert generalized_inverse(STEP_Y, STEP_V, 0.3, kind="upper") == 0.0
-    got = generalized_inverse(STEP_Y, STEP_V, 0.3, kind="upper", interpolate=True)
-    assert 0.0 < got <= 0.5
 
 
 def test_inverse_clamps():

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roybounds import (
+    ConditionalCdfTable,
     EvaluationGrid,
-    GTable,
     ObservationSample,
     bootstrap_errors,
-    build_g_table,
     clr_band,
     confidence_band,
     cost_bounds_pf,
@@ -21,14 +20,19 @@ from roybounds import (
     estimate_tables,
     generalized_inverse,
     generate_sample,
-    invert_g,
     monotonize_eps,
     population_tables,
     write_sample_csv,
 )
 from roybounds.cli import main
 from roybounds.errors import ConfigError, DomainError
-from roybounds.inference import SE_FLOOR, monotonize_eps as _mono
+from roybounds.inference import (
+    SE_FLOOR,
+    _fiber_matrix,
+    _pairs,
+    _theta,
+    monotonize_eps as _mono,
+)
 
 from conftest import interior_grid
 
@@ -82,46 +86,45 @@ def test_monotonize_matches_recursion(raw, eps):
 # -- fiber table -----------------------------------------------------------------
 
 def test_fibers_match_table_combinations(quasi_sample, small_grid):
-    gt = build_g_table(quasi_sample, small_grid, bandwidth=0.15)
     table = estimate_tables(quasi_sample, small_grid, 0.15)
-    for k, (i, j) in enumerate(gt.pairs):
+    pairs, G = _fiber_matrix(table, "lower", quasi_sample.lower_support_bound)
+    for k, (i, j) in enumerate(pairs):
         assert j >= i
         expect = table.F[:, j] - table.F0[:, i]
-        assert np.allclose(gt.G[:, k], expect, atol=1e-12)
+        assert np.allclose(G[:, k], expect, atol=1e-12)
 
 
 def test_diagonal_fiber_is_sector_one_cdf(quasi_sample, small_grid):
-    gt = build_g_table(quasi_sample, small_grid, bandwidth=0.15)
     table = estimate_tables(quasi_sample, small_grid, 0.15)
-    for k, (i, j) in enumerate(gt.pairs):
+    pairs, G = _fiber_matrix(table, "lower", quasi_sample.lower_support_bound)
+    for k, (i, j) in enumerate(pairs):
         if i == j:
-            assert np.allclose(gt.G[:, k], table.F1[:, i], atol=1e-12)
+            assert np.allclose(G[:, k], table.F1[:, i], atol=1e-12)
 
 
 def test_upper_side_fibers_carry_support_mass(quasi_sample, small_grid):
-    gt = build_g_table(quasi_sample, small_grid, bandwidth=0.15, side="upper")
     table = estimate_tables(quasi_sample, small_grid, 0.15)
+    pairs, G = _fiber_matrix(table, "upper", quasi_sample.lower_support_bound)
     ind = (small_grid.y >= quasi_sample.lower_support_bound).astype(float)
-    for k, (i, j) in enumerate(gt.pairs):
+    for k, (i, j) in enumerate(pairs):
         assert j <= i
         expect = table.F0[:, j] + table.p[j] * ind - table.F0[:, i]
-        assert np.allclose(gt.G[:, k], expect, atol=1e-12)
+        assert np.allclose(G[:, k], expect, atol=1e-12)
 
 
 def test_fibers_agree_when_outcome_ignores_z(pure_roy_dgp):
     # no z in the outcome law, so every ztilde fiber estimates the same curve
-    from dataclasses import replace
-
     from roybounds import DgpSpec
 
     dgp = DgpSpec.pure_roy((0.3, 0.0), (0.5, 0.0))
     s = generate_sample(dgp, 20_000, seed=5)
     grid = EvaluationGrid(y=np.quantile(s.y, np.linspace(0.05, 0.95, 25)),
                           z=np.linspace(0.2, 0.8, 4))
-    gt = build_g_table(s, grid, bandwidth=0.2)
+    pairs, G = _fiber_matrix(estimate_tables(s, grid, 0.2), "lower",
+                             s.lower_support_bound)
     for iz in range(4):
-        cols = [k for k, (i, _) in enumerate(gt.pairs) if i == iz]
-        block = gt.G[:, cols]
+        cols = [k for k, (i, _) in enumerate(pairs) if i == iz]
+        block = G[:, cols]
         spread = np.max(block, axis=1) - np.min(block, axis=1)
         assert np.max(spread) < 0.06
 
@@ -134,38 +137,70 @@ def test_default_epsilon_scales_with_range():
 
 # -- fiber inversion -------------------------------------------------------------
 
-def _single_fiber(y, values):
-    values = np.asarray(values, dtype=float)
-    return GTable(y_grid=np.asarray(y, dtype=float), z_grid=np.array([0.5]),
-                  pairs=((0, 0),), G=values[:, None], Gstar=values[:, None],
-                  bandwidth=0.1, epsilon=0.0)
+def _theta_single(y, values, x):
+    """The band's lower inverse of one monotone fiber at one target value."""
+    y = np.asarray(y, dtype=float)
+    targets = np.full((y.size, 1), float(x))
+    table = ConditionalCdfTable(grid=EvaluationGrid(y=y, z=np.array([0.5])),
+                                F=targets, F0=np.zeros_like(targets),
+                                F1=targets, p=[0.0])
+    theta, _ = _theta(table, ((0, 0),), np.asarray(values, dtype=float)[:, None],
+                      "lower")
+    return theta[0, 0]
 
 
-def test_invert_g_matches_lower_generalized_inverse_on_step():
+def test_theta_matches_lower_generalized_inverse_on_step():
     y = np.array([0.0, 0.5, 1.0])
     v = np.array([0.0, 0.6, 0.6])
-    gt = _single_fiber(y, v)
     for x in (0.3, 0.7, -0.1, 0.0, 0.6, 1.5):
-        got = invert_g(gt, 0, x)[0]
-        ref = generalized_inverse(y, v, x, kind="lower", interpolate=False)
+        got = _theta_single(y, v, x)
+        ref = generalized_inverse(y, v, x, kind="lower")
         assert got == ref
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 12), st.floats(-0.2, 1.2), st.integers(0, 10_000))
-def test_invert_g_matches_lower_generalized_inverse_fuzz(ny, x, seed):
+@st.composite
+def _fiber_problems(draw):
+    """Fibers on a shared y grid, non-decreasing with ties, plus targets."""
+    ny = draw(st.integers(2, 10))
+    nz = draw(st.integers(1, 3))
+    side = draw(st.sampled_from(["lower", "upper"]))
+    seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    y = np.sort(rng.uniform(0, 2, ny))
-    y += np.arange(ny) * 1e-6
-    v = np.sort(rng.uniform(0, 1, ny))
-    gt = _single_fiber(y, v)
-    got = invert_g(gt, 0, x)[0]
-    assert got == generalized_inverse(y, v, x, kind="lower", interpolate=False)
+    y = np.cumsum(rng.uniform(0.01, 1.0, ny))
+    # a few levels force ties inside fibers and between fibers and targets
+    if draw(st.booleans()):
+        levels = np.linspace(-0.2, 1.2, draw(st.integers(2, 8)))
+    else:
+        levels = rng.uniform(-0.2, 1.2, 64)
+    pairs = _pairs(nz, side)
+    Gstar = np.sort(rng.choice(levels, size=(ny, len(pairs))), axis=0)
+    F1 = rng.choice(levels, size=(ny, nz))
+    grid = EvaluationGrid(y=y, z=np.linspace(0.0, 1.0, nz))
+    table = ConditionalCdfTable(grid=grid, F=F1, F0=np.zeros_like(F1), F1=F1,
+                                p=np.zeros(nz))
+    return table, pairs, Gstar, side
 
 
-def test_invert_g_below_fiber_minimum_clamps_low():
-    gt = _single_fiber([1.0, 2.0, 3.0], [0.2, 0.5, 0.9])
-    assert invert_g(gt, 0, 0.1)[0] == 1.0
+@settings(max_examples=80, deadline=None)
+@given(_fiber_problems())
+def test_theta_matches_generalized_inverse_fuzz(problem):
+    table, pairs, Gstar, side = problem
+    theta, _ = _theta(table, pairs, Gstar, side)
+    y = table.grid.y
+    for k, (i, _) in enumerate(pairs):
+        for row in range(y.size):
+            ref = generalized_inverse(y, Gstar[:, k], table.F1[row, i], kind=side)
+            assert theta[row, k] == ref
+
+
+def test_theta_below_fiber_minimum_clamps_low():
+    assert _theta_single([1.0, 2.0, 3.0], [0.2, 0.5, 0.9], 0.1) == 1.0
+
+
+def _population_theta(t):
+    pairs, G = _fiber_matrix(t, "lower", 0.0)
+    theta, _ = _theta(t, pairs, monotonize_eps(G, 0.0), "lower")
+    return pairs, theta
 
 
 def test_diagonal_inversion_recovers_y(quasi_dgp):
@@ -173,13 +208,11 @@ def test_diagonal_inversion_recovers_y(quasi_dgp):
     grid = interior_grid(quasi_dgp, n_y=40, n_z=4)
     t = population_tables(quasi_dgp, grid)
     spacing = np.max(np.diff(grid.y))
+    pairs, theta = _population_theta(t)
     for iz in range(grid.z.size):
-        pairs = [(iz, j) for j in range(iz, grid.z.size)]
-        G = np.column_stack([t.F[:, j] - t.F0[:, iz] for _, j in pairs])
-        gt = GTable(y_grid=grid.y, z_grid=grid.z, pairs=tuple(pairs), G=G,
-                    Gstar=monotonize_eps(G, 0.0), bandwidth=0.1, epsilon=0.0)
+        diagonal = pairs.index((iz, iz))
         for k in range(5, grid.y.size, 7):
-            got = invert_g(gt, iz, t.F1[k, iz])[0]
+            got = theta[k, diagonal]
             assert abs(got - grid.y[k]) <= spacing + 1e-12
 
 
@@ -189,16 +222,13 @@ def test_population_fiber_infimum_stays_below_lower_bound(quasi_dgp):
     t = population_tables(quasi_dgp, grid)
     surface = cost_bounds_pf(t)
     assert not surface.rejected
+    pairs, theta = _population_theta(t)
     for iz in range(grid.z.size):
-        pairs = [(iz, j) for j in range(iz, grid.z.size)]
-        G = np.column_stack([t.F[:, j] - t.F0[:, iz] for _, j in pairs])
-        gt = GTable(y_grid=grid.y, z_grid=grid.z, pairs=tuple(pairs), G=G,
-                    Gstar=monotonize_eps(G, 0.0), bandwidth=0.1, epsilon=0.0)
+        cols = [k for k, (i, _) in enumerate(pairs) if i == iz]
         for k in range(grid.y.size):
             if not surface.identified_mask[k, iz]:
                 continue
-            theta = invert_g(gt, iz, t.F1[k, iz])
-            implied = grid.y[k] - float(np.min(theta))
+            implied = grid.y[k] - float(np.min(theta[k, cols]))
             assert surface.Clow[k, iz] >= implied - 1e-12
 
 

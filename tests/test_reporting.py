@@ -180,7 +180,6 @@ def _make_band(grid, Cn):
     shape = Cn.shape
     return ConfidenceBand(grid=grid, Cn=Cn, Chat=Cn.copy(),
                           se=np.zeros(shape), critical_value=0.0,
-                          critical_values=np.zeros(shape),
                           identified_mask=np.ones(shape, dtype=bool),
                           alpha=0.05, B=50, seed=0, epsilon=0.0,
                           bandwidth=0.1, side="lower", subset_indices=(0,),
