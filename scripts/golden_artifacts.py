@@ -1,0 +1,78 @@
+"""Run a fixed set of CLI commands and print one sha256 per artifact.
+
+The set covers simulate, estimate, bounds --mode all, infer (lower, upper,
+and with --bandwidth/--epsilon/--z-bins) and coverage on the quasi-linear
+and multiplicative designs, at small sizes and fixed seeds.  Every command
+runs in OUTDIR with relative paths, so the artifacts (whose headers echo
+the resolved configuration, paths included) do not depend on where OUTDIR
+lies, and two checkouts can be compared line by line:
+
+    python3 scripts/golden_artifacts.py PARENT_CHECKOUT /tmp/a > a.txt
+    python3 scripts/golden_artifacts.py .               /tmp/b > b.txt
+    diff a.txt b.txt
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+AFFINE = {"mu0": {"intercept": 0.0, "slope": 0.3},
+          "mu1": {"intercept": 0.2, "slope": 0.5},
+          "sigma0": 0.6, "sigma1": 0.7, "outcome_corr": 0.0}
+DESIGNS = {
+    "quasi": {"family": "quasi_linear",
+              "params": {**AFFINE, "g0": {"intercept": 1.5, "slope": -0.8}, "g1": 0.3}},
+    "mult": {"family": "multiplicative",
+             "params": {**AFFINE, "g0": 1.0, "g1": {"intercept": 0.55, "slope": 0.35}}},
+}
+GRID = ["--grid-y", "25", "--grid-z", "4"]
+INFER = {
+    "lower": [],
+    "upper": ["--side", "upper"],
+    "options": ["--bandwidth", "0.25", "--epsilon", "0.001", "--z-bins", "0.2,0.5,0.8"],
+}
+
+
+def commands(name: str) -> list:
+    sample = f"{name}.sample.csv"
+    infer = ["infer", "--input", sample, "--bootstrap", "50", "--seed", "5", *GRID]
+    return [
+        ["simulate", "--config", f"{name}.json", "--n", "600", "--seed", "3",
+         "--output", sample],
+        ["estimate", "--input", sample, *GRID, "--output", f"{name}.tables.csv"],
+        ["bounds", "--input", sample, "--mode", "all", *GRID,
+         "--output", f"{name}.bounds.csv"],
+        *([*infer, *extra, "--output", f"{name}.band-{label}.csv"]
+          for label, extra in INFER.items()),
+        ["coverage", "--config", f"{name}.json", "--n", "300", "--reps", "2",
+         "--bootstrap", "50", "--seed", "1", "--output", f"{name}.coverage.csv"],
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("repo", type=Path, help="checkout whose src/ is run")
+    parser.add_argument("outdir", type=Path, help="empty or new directory")
+    args = parser.parse_args()
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(args.repo.resolve() / "src")}
+    for name, dgp in DESIGNS.items():
+        (args.outdir / f"{name}.json").write_text(json.dumps({"dgp": dgp}))
+        for argv in commands(name):
+            proc = subprocess.run([sys.executable, "-m", "roybounds.cli", *argv],
+                                  cwd=args.outdir, env=env, capture_output=True,
+                                  text=True)
+            # exit 2 (crossing test fired) still writes every artifact
+            if proc.returncode not in (0, 2):
+                sys.exit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
+    for path in sorted(args.outdir.iterdir()):
+        print(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

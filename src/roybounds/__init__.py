@@ -48,7 +48,6 @@ from .estimation import (
     silverman_bandwidth,
 )
 from .inference import (
-    BootstrapResult,
     ConfidenceBand,
     bootstrap_errors,
     clr_band,
@@ -99,9 +98,8 @@ __all__ = [
     "NoSupportError", "RoyBoundsError",
     "ConditionalCdfTable", "conditional_mean", "estimate_tables",
     "local_linear_fit", "silverman_bandwidth",
-    "BootstrapResult", "ConfidenceBand", "bootstrap_errors", "clr_band",
-    "confidence_band", "default_epsilon", "default_selection_subset",
-    "monotonize_eps",
+    "ConfidenceBand", "bootstrap_errors", "clr_band", "confidence_band",
+    "default_epsilon", "default_selection_subset", "monotonize_eps",
     "DgpSpec", "EvaluationGrid", "ObservationSample", "SectorUtilityPair",
     "SmivReport", "ZLaw", "check_smiv", "check_smiv_data",
     "cost_from_utilities", "generate_sample", "true_cost", "utility_pair",

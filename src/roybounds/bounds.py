@@ -32,7 +32,12 @@ from .envelopes import (
     sandwich,
 )
 from .errors import DomainError
-from .estimation import ConditionalCdfTable, conditional_mean, silverman_bandwidth
+from .estimation import (
+    ConditionalCdfTable,
+    conditional_mean,
+    identification_tol,
+    silverman_bandwidth,
+)
 from .model import EvaluationGrid, ObservationSample
 
 
@@ -160,7 +165,7 @@ def cost_bounds_if(sample: ObservationSample, z_grid, bandwidth: float | None = 
                            z_grid, bandwidth)
     p = np.clip(conditional_mean(sample, sample.d, z_grid, bandwidth), 0.0, 1.0)
     if p_tol is None:
-        p_tol = max(5.0 / sample.n, 1e-3)
+        p_tol = identification_tol(sample.n)
     return if_bounds_from_moments(z_grid, m, m0b, p, p_tol=p_tol,
                                   lower_support_bound=b_low, bandwidth=bandwidth)
 
@@ -198,12 +203,8 @@ class RandomCostCdfBounds:
 
     cost_grid: np.ndarray
     z_grid: np.ndarray
-    y_grid: np.ndarray
     FL: np.ndarray
     FU: np.ndarray
-    Fcond: np.ndarray
-    F1low: np.ndarray
-    F1high: np.ndarray
     identified_z: np.ndarray
     p_tol: float
 
@@ -233,13 +234,9 @@ def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
         p_tol = table.identification_tol()
     env = envelope_table(table, lower_support_bound)
     y = table.grid.y
-    ny, nz = table.F.shape
-    nc = cost_grid.size
-    FL = np.full((nc, nz), np.nan)
-    FU = np.full((nc, nz), np.nan)
-    Fcond = np.full((ny, nz), np.nan)
-    F1low = np.full((ny, nz), np.nan)
-    F1high = np.full((ny, nz), np.nan)
+    nz = table.grid.z.size
+    FL = np.full((cost_grid.size, nz), np.nan)
+    FU = np.full((cost_grid.size, nz), np.nan)
     identified = table.p > p_tol
     for iz in np.flatnonzero(identified):
         p = table.p[iz]
@@ -250,18 +247,13 @@ def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
         cond = np.maximum.accumulate(cond)
         low = np.maximum.accumulate(low)
         high = np.maximum.accumulate(high)
-        Fcond[:, iz] = cond
-        F1low[:, iz] = low
-        F1high[:, iz] = high
         for ic, c in enumerate(cost_grid):
             t = np.concatenate([y, y + c])
             a = _step_eval(y, cond, t)
             FL[ic, iz] = max(0.0, float(np.max(a - _step_eval(y, high, t - c))))
             FU[ic, iz] = 1.0 + min(0.0, float(np.min(a - _step_eval(y, low, t - c))))
     return RandomCostCdfBounds(cost_grid=cost_grid, z_grid=table.grid.z,
-                               y_grid=y, FL=FL, FU=FU, Fcond=Fcond,
-                               F1low=F1low, F1high=F1high,
-                               identified_z=identified, p_tol=p_tol)
+                               FL=FL, FU=FU, identified_z=identified, p_tol=p_tol)
 
 
 def lower_bound_interpolator(surface: BoundSurface):

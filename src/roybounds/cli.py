@@ -294,13 +294,12 @@ def _cmd_infer(config: RunConfig) -> int:
     sample.require_z_variation()
     grid = EvaluationGrid.from_sample(sample, config.grid_y, config.grid_z)
     echo = config.echo()
-    table = estimate_tables(sample, grid, config.bandwidth)
-    surface = cost_bounds_pf(table, sample.lower_support_bound,
+    band = confidence_band(sample, grid, config.bandwidth, alpha=config.alpha,
+                           B=config.bootstrap, seed=config.seed,
+                           epsilon=config.epsilon,
+                           subset_indices=config.subset_indices, side=config.side)
+    surface = cost_bounds_pf(band.table, sample.lower_support_bound,
                              crossing_tol=_crossing_tol(config, sample.n))
-    band = confidence_band(sample, grid, alpha=config.alpha, B=config.bootstrap,
-                           seed=config.seed, epsilon=config.epsilon,
-                           subset_indices=config.subset_indices,
-                           side=config.side, table=table)
     write_band_csv(band, config.output, echo)
     write_json_sidecar(config.output, "confidence_band", {
         "y_grid": grid.y, "z_grid": grid.z, "Cn": band.Cn,

@@ -42,6 +42,13 @@ def silverman_bandwidth(z: np.ndarray) -> float:
     return 1.06 * scale * n ** (-0.2)
 
 
+def identification_tol(n_obs: int | None) -> float:
+    """Cells with F1 (or p) below this are unidentified; n_obs None: population."""
+    if n_obs is None:
+        return 1e-6
+    return max(5.0 / n_obs, 1e-3)
+
+
 def _ll_denominator(s0: float, s1: float, s2: float, h: float) -> float | None:
     """Determinant s0 s2 - s1^2 of the local design from its kernel moments.
 
@@ -148,9 +155,7 @@ class ConditionalCdfTable:
 
     def identification_tol(self) -> float:
         """Cells with F1 (or p) below this are treated as unidentified."""
-        if self.n_obs is None:
-            return 1e-6
-        return max(5.0 / self.n_obs, 1e-3)
+        return identification_tol(self.n_obs)
 
 
 @dataclass(frozen=True)

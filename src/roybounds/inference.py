@@ -32,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .estimation import (
-    ConditionalCdfTable,
-    TableKernel,
-    estimate_tables,
-    silverman_bandwidth,
-)
+from .estimation import ConditionalCdfTable, TableKernel, estimate_tables
 from .model import EvaluationGrid, ObservationSample, _philox
 
 SE_FLOOR = 1e-8
@@ -108,54 +103,31 @@ def _theta(table: ConditionalCdfTable, pairs, Gstar: np.ndarray, side: str):
     return theta, clamped
 
 
-def _theta_from_table(table: ConditionalCdfTable, epsilon: float, side: str,
-                      lower_support_bound: float) -> tuple:
-    pairs, G = _fiber_matrix(table, side, lower_support_bound)
-    theta, clamped = _theta(table, pairs, monotonize_eps(G, epsilon), side)
-    return pairs, theta, clamped
-
-
-@dataclass(frozen=True)
-class BootstrapResult:
-    sn: np.ndarray
-    draws: np.ndarray
-    pairs: tuple
-    epsilon: float
-    bandwidth: float
-    B: int
-    seed: int
-
-
 def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
-                     bandwidth: float | None = None, epsilon: float | None = None,
-                     B: int = 200, seed: int = 0,
-                     side: str = "lower") -> BootstrapResult:
-    """Pairs bootstrap of the fiber inverses.
+                     bandwidth: float, epsilon: float, B: int = 200,
+                     seed: int = 0, side: str = "lower") -> tuple:
+    """Pairs bootstrap of the fiber inverses; returns (sn, draws).
 
     Replications resample whole (y, d, z) records, keeping their dependence.
     Replication b draws n record indices from the b-th child of the master
     seed; the table kernel estimates that resample's tables from the index
-    draw alone, with the full sample's bandwidth.
+    draw alone, with the full sample's bandwidth and epsilon.
     """
     if B < 50:
         raise ConfigError(f"need at least 50 bootstrap replications, got {B}")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(sample.z)
     kernel = TableKernel(sample, grid, bandwidth)
     lsb = sample.lower_support_bound
-    if epsilon is None:
-        _, G = _fiber_matrix(kernel.table(), side, lsb)
-        epsilon = default_epsilon(G)
     seeds = np.random.SeedSequence(seed).spawn(B)
     n = sample.n
     pairs = _pairs(grid.z.size, side)
     draws = np.empty((B, grid.y.size, len(pairs)))
     for b in range(B):
         idx = _philox(seeds[b]).integers(0, n, size=n)
-        _, draws[b], _ = _theta_from_table(kernel.table(idx), epsilon, side, lsb)
+        table = kernel.table(idx)
+        _, G = _fiber_matrix(table, side, lsb)
+        draws[b], _ = _theta(table, pairs, monotonize_eps(G, epsilon), side)
     sn = np.maximum(np.std(draws, axis=0, ddof=1), SE_FLOOR)
-    return BootstrapResult(sn=sn, draws=draws, pairs=pairs, epsilon=epsilon,
-                           bandwidth=bandwidth, B=B, seed=seed)
+    return sn, draws
 
 
 @dataclass(frozen=True)
@@ -176,8 +148,7 @@ class ConfidenceBand:
     side: str
     subset_indices: tuple
     sn: np.ndarray
-    pairs: tuple
-    selected: np.ndarray
+    table: ConditionalCdfTable
 
 
 def default_selection_subset(y_grid: np.ndarray, y_obs: np.ndarray) -> tuple:
@@ -192,7 +163,7 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
              n_obs: int, side: str = "lower") -> tuple:
     """Two-stage critical value and band assembly.
 
-    Returns (Cn, Chat, se_binding, critical value, selected mask).  The
+    Returns (Cn, Chat, se_binding, critical value).  The
     final critical value is the (1-alpha) quantile of the bootstrap max
     over kept cells, uniform across the grid, floored at zero so the band
     never exceeds the point estimate.
@@ -245,45 +216,32 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
         rows = np.arange(ny)
         Cn[:, iz] = grid.y - inflated[rows, pick]
         se_binding[:, iz] = sn[:, cols][rows, pick]
-    return Cn, Chat, se_binding, crit, selected
+    return Cn, Chat, se_binding, crit
 
 
 def confidence_band(sample: ObservationSample, grid: EvaluationGrid | None = None,
                     bandwidth: float | None = None, alpha: float = 0.05,
                     B: int = 200, seed: int = 0, epsilon: float | None = None,
-                    subset_indices=None, side: str = "lower",
-                    table: ConditionalCdfTable | None = None) -> ConfidenceBand:
+                    subset_indices=None, side: str = "lower") -> ConfidenceBand:
     """End-to-end band construction from a sample.
 
-    ``table`` passes the sample's tables when the caller has estimated them
-    already; the grid and bandwidth then default to the table's.  Otherwise
-    the tables are estimated here, once: they give the default epsilon and
-    the point estimate.
+    The sample's tables are estimated here, once, and kept on the band as
+    ``table``.  Their fiber matrix gives both the default epsilon and the
+    point estimate; the bootstrap reuses the tables' bandwidth.
     """
-    if table is not None:
-        grid = table.grid if grid is None else grid
-        bandwidth = table.bandwidth if bandwidth is None else bandwidth
-        same_grid = (np.array_equal(table.grid.y, grid.y)
-                     and np.array_equal(table.grid.z, grid.z))
-        if not same_grid or table.bandwidth != bandwidth or table.n_obs != sample.n:
-            raise DomainError("table was estimated on another sample, grid or bandwidth")
     if grid is None:
         grid = EvaluationGrid.from_sample(sample)
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(sample.z)
-    if table is None:
-        table = estimate_tables(sample, grid, bandwidth)
-    lsb = sample.lower_support_bound
+    table = estimate_tables(sample, grid, bandwidth)
+    pairs, G = _fiber_matrix(table, side, sample.lower_support_bound)
     if epsilon is None:
-        _, G = _fiber_matrix(table, side, lsb)
         epsilon = default_epsilon(G)
-    pairs, theta, clamped = _theta_from_table(table, epsilon, side, lsb)
-    boot = bootstrap_errors(sample, grid, bandwidth, epsilon, B, seed, side=side)
+    theta, clamped = _theta(table, pairs, monotonize_eps(G, epsilon), side)
+    sn, draws = bootstrap_errors(sample, grid, table.bandwidth, epsilon, B, seed,
+                                 side=side)
     if subset_indices is None:
         subset_indices = default_selection_subset(grid.y, sample.y)
-    Cn, Chat, se_binding, crit, selected = clr_band(
-        theta, boot.draws, boot.sn, pairs, grid, alpha, subset_indices,
-        sample.n, side)
+    Cn, Chat, se_binding, crit = clr_band(theta, draws, sn, pairs, grid, alpha,
+                                          subset_indices, sample.n, side)
 
     id_tol = table.identification_tol()
     z_of_pair = np.array([i for i, _ in pairs])
@@ -294,6 +252,6 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid | None = Non
     return ConfidenceBand(grid=grid, Cn=Cn, Chat=Chat, se=se_binding,
                           critical_value=crit,
                           identified_mask=mask, alpha=alpha, B=B, seed=seed,
-                          epsilon=epsilon, bandwidth=bandwidth, side=side,
+                          epsilon=epsilon, bandwidth=table.bandwidth, side=side,
                           subset_indices=tuple(int(i) for i in subset_indices),
-                          sn=boot.sn, pairs=pairs, selected=selected)
+                          sn=sn, table=table)

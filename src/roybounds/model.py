@@ -36,6 +36,7 @@ from .errors import DomainError, InvalidDgpError, InvalidUtilityError
 FAMILIES = ("pure_roy", "quasi_linear", "multiplicative", "quadratic", "isoelastic", "custom")
 
 _PROBE_POINTS = 33  # z probe resolution for closed-form shape validation
+_ZPARAMS = ("mu0", "mu1", "sigma0", "sigma1", "g0", "g1", "eta0", "eta1", "f")
 
 
 @dataclass(frozen=True)
@@ -131,16 +132,21 @@ class ZLaw:
 
     @staticmethod
     def from_json(obj: dict) -> "ZLaw":
-        kind = obj.get("kind", "uniform")
-        if kind == "uniform":
-            return ZLaw(kind="uniform", low=float(obj["low"]), high=float(obj["high"]))
-        if kind == "choice":
-            return ZLaw(
-                kind="choice",
-                values=tuple(float(v) for v in obj["values"]),
-                probs=tuple(float(p) for p in obj.get("probs", ())),
-            )
-        return ZLaw(kind="fixed", value=float(obj["value"]))
+        kind = obj.get("kind", "uniform") if isinstance(obj, dict) else None
+        try:
+            if kind == "uniform":
+                return ZLaw(kind="uniform", low=float(obj["low"]), high=float(obj["high"]))
+            if kind == "choice":
+                return ZLaw(
+                    kind="choice",
+                    values=tuple(float(v) for v in obj["values"]),
+                    probs=tuple(float(p) for p in obj.get("probs", ())),
+                )
+            if kind == "fixed":
+                return ZLaw(kind="fixed", value=float(obj["value"]))
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise InvalidDgpError(f"malformed z law {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -333,7 +339,7 @@ class DgpSpec:
             raise InvalidDgpError(f"unknown foresight {self.foresight!r}")
         if not -1.0 <= self.outcome_corr <= 1.0:
             raise InvalidDgpError("outcome_corr must lie in [-1, 1]")
-        for name in ("mu0", "mu1", "sigma0", "sigma1", "g0", "g1", "eta0", "eta1", "f"):
+        for name in _ZPARAMS:
             object.__setattr__(self, name, as_zparam(getattr(self, name)))
         if self.family == "quasi_linear" and (self.g0 is None or self.g1 is None):
             raise InvalidDgpError("quasi_linear needs g0 and g1")
@@ -539,16 +545,23 @@ class DgpSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "DgpSpec":
-        params = dict(obj.get("params", {}))
-        corr = float(params.pop("outcome_corr", 0.0))
-        rho = params.pop("rho", None)
-        kw = {k: params[k] for k in params}
+        params = obj.get("params", {}) if isinstance(obj, dict) else None
+        if not isinstance(params, dict) or "family" not in obj:
+            raise InvalidDgpError("dgp must be a JSON object with a family "
+                                  "and an optional params object")
+        unknown = set(params) - {*_ZPARAMS, "outcome_corr", "rho"}
+        if unknown:
+            raise InvalidDgpError(f"unknown dgp parameter(s) {sorted(unknown)}")
+        values = {**params, "lower_support_bound": obj.get("lower_support_bound", 0.0)}
+        kw = {}
+        for name, value in values.items():
+            try:
+                kw[name] = as_zparam(value) if name in _ZPARAMS else float(value)
+            except (KeyError, TypeError, ValueError):
+                raise InvalidDgpError(f"malformed dgp value {name}: {value!r}") from None
         return DgpSpec(
             family=obj["family"],
-            outcome_corr=corr,
-            rho=float(rho) if rho is not None else None,
             foresight=obj.get("foresight", "perfect"),
-            lower_support_bound=float(obj.get("lower_support_bound", 0.0)),
             z_law=ZLaw.from_json(obj["z_law"]) if "z_law" in obj else ZLaw(),
             **kw,
         )

@@ -290,6 +290,7 @@ class SurvivalSummary:
     pooled_ratio: np.ndarray
     clamped_count: int
     ratio_excluded: int
+    n_records: int
 
 
 def cost_survival(band: ConfidenceBand, sample: ObservationSample,
@@ -298,8 +299,10 @@ def cost_survival(band: ConfidenceBand, sample: ObservationSample,
     """Per-individual band evaluation aggregated into exceedance curves.
 
     Ratio thresholds compare Cn(y_i, z_i) / y_i; rows with y <= 0 are
-    excluded from the ratio denominators.  Empty z-bins report NaN
-    proportions (serialized as nulls) rather than aborting.
+    excluded from the ratio denominators.  Bin b holds the records with
+    edges[b] <= z < edges[b+1], the last bin also z == edges[-1]; records
+    outside the edges fall in no bin but count in the pooled rows.  Empty
+    z-bins report NaN proportions (serialized as nulls) rather than aborting.
     """
     values, clamped = band_values_at(band, sample.y, sample.z)
     if thresholds_abs is None:
@@ -313,7 +316,8 @@ def cost_survival(band: ConfidenceBand, sample: ObservationSample,
         z_bins = np.quantile(sample.z, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
     z_bins = np.asarray(z_bins, dtype=float)
     nbins = z_bins.size - 1
-    which = np.clip(np.digitize(sample.z, z_bins[1:-1], right=False), 0, nbins - 1)
+    which = np.searchsorted(z_bins, sample.z, side="right") - 1
+    which[sample.z == z_bins[-1]] = nbins - 1
 
     pos = sample.y > 0
     ratio = np.full_like(values, np.nan)
@@ -344,7 +348,7 @@ def cost_survival(band: ConfidenceBand, sample: ObservationSample,
                            prop_abs=prop_abs, prop_ratio=prop_ratio,
                            pooled_abs=pooled_abs, pooled_ratio=pooled_ratio,
                            clamped_count=int(np.sum(clamped)),
-                           ratio_excluded=int(np.sum(~pos)))
+                           ratio_excluded=int(np.sum(~pos)), n_records=sample.n)
 
 
 def write_survival_csv(summary: SurvivalSummary, path, config=None) -> None:
@@ -363,7 +367,7 @@ def write_survival_csv(summary: SurvivalSummary, path, config=None) -> None:
                     writer.writerow([kind, fmt(t), label, fmt(props[it, b]),
                                      str(summary.bin_counts[b])])
                 writer.writerow([kind, fmt(t), "pooled", fmt(pooled[it]),
-                                 str(sum(summary.bin_counts))])
+                                 str(summary.n_records)])
 
 
 def survival_to_dict(summary: SurvivalSummary) -> dict:

@@ -198,6 +198,59 @@ def test_repeat_run_writes_identical_bytes(tmp_path):
     assert bounds.read_bytes() == first
 
 
+def test_survival_bins_hold_only_records_inside_their_edges(tmp_path):
+    sample_path = _simulated(tmp_path, n=500)
+    z = ingest_csv(sample_path).z
+    top = float(np.sort(z)[300])  # one record sits on the last edge
+    out = tmp_path / "band.csv"
+    code = main(["infer", "--input", sample_path, "--output", str(out),
+                 "--bootstrap", "50", "--grid-y", "15", "--grid-z", "3",
+                 "--z-bins", f"0.4,0.5,{top!r}"])
+    assert code in (0, 2)
+    cols, _ = read_long_csv(tmp_path / "band.survival.csv")
+    counts = dict(zip(cols["zbin"], cols["count"]))
+    assert len(counts) == 3
+    low, high, pooled = counts.values()
+    assert low == np.sum((z >= 0.4) & (z < 0.5))
+    assert high == np.sum((z >= 0.5) & (z <= top))
+    assert pooled == 500
+
+
+def _dgp_with(**changes):
+    return {**quasi_dgp_spec().to_json(), **changes}
+
+
+def _params_with(**changes):
+    return _dgp_with(params={**quasi_dgp_spec().to_json()["params"], **changes})
+
+
+@pytest.mark.parametrize("dgp", [
+    {k: v for k, v in _dgp_with().items() if k != "family"},
+    _dgp_with(z_law={"kind": "bogus"}),
+    _dgp_with(z_law={"kind": "uniform", "low": "a"}),
+    _dgp_with(z_law="abc"),
+    _params_with(mu0="abc"),
+    _params_with(zeta=1),
+    _params_with(g0=[1.0]),
+    _params_with(g1={"slope": 0.1}),
+    _dgp_with(params="abc"),
+    _dgp_with(lower_support_bound="abc"),
+    "abc"],
+    ids=["no-family", "bogus-z-law-kind", "text-z-law-bound", "text-z-law",
+         "text-param", "unknown-param", "short-pair", "no-intercept",
+         "text-params", "text-lower-bound", "text-dgp"])
+@pytest.mark.parametrize("command", ["simulate", "coverage"])
+def test_malformed_dgp_is_a_one_line_error(tmp_path, capsys, dgp, command):
+    out = tmp_path / "out.csv"
+    reps = ["--reps", "1"] if command == "coverage" else []
+    code = main([command, "--config", _config_file(tmp_path, dgp=dgp),
+                 "--output", str(out), "--n", "50", *reps])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_coverage_smoke(tmp_path):
     config = _config_file(tmp_path, n=300, reps=2, bootstrap=50,
                           grid_y=12, grid_z=3)

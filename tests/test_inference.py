@@ -243,17 +243,17 @@ def _tiny_sample(n=60):
 
 def test_bootstrap_needs_fifty_replications(small_grid):
     with pytest.raises(ConfigError):
-        bootstrap_errors(_tiny_sample(), small_grid, bandwidth=0.3, B=49)
+        bootstrap_errors(_tiny_sample(), small_grid, 0.3, 1e-4, B=49)
 
 
 def test_bootstrap_same_seed_reproduces(small_grid):
     s = _tiny_sample()
-    a = bootstrap_errors(s, small_grid, bandwidth=0.3, B=50, seed=4)
-    b = bootstrap_errors(s, small_grid, bandwidth=0.3, B=50, seed=4)
-    assert np.array_equal(a.sn, b.sn)
-    assert np.array_equal(a.draws, b.draws)
-    c = bootstrap_errors(s, small_grid, bandwidth=0.3, B=50, seed=5)
-    assert not np.array_equal(a.sn, c.sn)
+    sn_a, draws_a = bootstrap_errors(s, small_grid, 0.3, 1e-4, B=50, seed=4)
+    sn_b, draws_b = bootstrap_errors(s, small_grid, 0.3, 1e-4, B=50, seed=4)
+    assert np.array_equal(sn_a, sn_b)
+    assert np.array_equal(draws_a, draws_b)
+    sn_c, _ = bootstrap_errors(s, small_grid, 0.3, 1e-4, B=50, seed=5)
+    assert not np.array_equal(sn_a, sn_c)
 
 
 def test_bootstrap_worker_count_does_not_change_draws(tmp_path):
@@ -276,14 +276,32 @@ def test_bootstrap_worker_count_does_not_change_draws(tmp_path):
     assert bands["config"] == bands["none"]
 
 
-def test_band_reuses_a_passed_table(quasi_sample, small_grid):
-    table = estimate_tables(quasi_sample, small_grid, 0.2)
-    a = confidence_band(quasi_sample, small_grid, bandwidth=0.2, B=50, seed=1)
-    b = confidence_band(quasi_sample, B=50, seed=1, table=table)
-    assert np.array_equal(a.Cn, b.Cn)
-    assert a.critical_value == b.critical_value
-    with pytest.raises(DomainError):
-        confidence_band(quasi_sample, small_grid, bandwidth=0.3, B=50, table=table)
+def test_infer_estimates_the_table_and_its_fibers_once(tmp_path, monkeypatch):
+    import roybounds.cli
+    import roybounds.inference
+
+    tables, fibers = [], []
+
+    def counting_estimate(*args, **kwargs):
+        tables.append(estimate_tables(*args, **kwargs))
+        return tables[-1]
+
+    def counting_fibers(table, *args):
+        fibers.append(table)
+        return _fiber_matrix(table, *args)
+
+    for module in (roybounds.cli, roybounds.inference):
+        monkeypatch.setattr(module, "estimate_tables", counting_estimate)
+    monkeypatch.setattr(roybounds.inference, "_fiber_matrix", counting_fibers)
+    sample_csv = tmp_path / "sample.csv"
+    write_sample_csv(_tiny_sample(400), sample_csv, {})
+    code = main(["infer", "--input", str(sample_csv), "--output",
+                 str(tmp_path / "band.csv"), "--bootstrap", "50",
+                 "--grid-y", "15", "--grid-z", "3", "--bandwidth", "0.3"])
+    assert code in (0, 2)
+    assert len(tables) == 1
+    assert sum(t is tables[0] for t in fibers) == 1
+    assert len(fibers) == 51
 
 
 def test_degenerate_sample_hits_se_floor():
@@ -291,8 +309,8 @@ def test_degenerate_sample_hits_se_floor():
     s = ObservationSample(y=np.full(n, 2.0), d=np.ones(n, dtype=np.int8),
                           z=np.full(n, 0.5))
     grid = EvaluationGrid(y=np.array([1.0, 2.0, 3.0]), z=np.array([0.5]))
-    res = bootstrap_errors(s, grid, bandwidth=0.25, B=50, seed=0)
-    assert np.all(res.sn == SE_FLOOR)
+    sn, _ = bootstrap_errors(s, grid, 0.25, 0.0, B=50, seed=0)
+    assert np.all(sn == SE_FLOOR)
 
 
 def test_bootstrap_errors_shrink_with_n(quasi_dgp):
@@ -300,8 +318,8 @@ def test_bootstrap_errors_shrink_with_n(quasi_dgp):
     med = []
     for n in (2_000, 8_000, 32_000):
         s = generate_sample(quasi_dgp, n, seed=31)
-        res = bootstrap_errors(s, grid, bandwidth=0.2, B=60, seed=2)
-        med.append(float(np.median(res.sn)))
+        sn, _ = bootstrap_errors(s, grid, 0.2, 1e-4, B=60, seed=2)
+        med.append(float(np.median(sn)))
     assert med[0] > med[1] > med[2]
 
 
@@ -355,7 +373,7 @@ def test_zero_variance_single_inequality_collapses_band():
     theta = np.linspace(0.8, 1.6, 4)[:, None]
     draws = np.repeat(theta[None, :, :], 60, axis=0)
     sn = np.full_like(theta, SE_FLOOR)
-    Cn, Chat, _, crit, _ = clr_band(theta, draws, sn, ((0, 0),), grid,
+    Cn, Chat, _, crit = clr_band(theta, draws, sn, ((0, 0),), grid,
                                     alpha=0.05, subset_indices=(0, 2),
                                     n_obs=500)
     assert crit == 0.0

@@ -1,5 +1,7 @@
 """Model layer: DGP families, sampling, cost geometry, monotonicity checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from roybounds import (
     check_smiv_data,
     cost_from_utilities,
     generate_sample,
+    population_tables,
     true_cost,
     utility_pair,
 )
@@ -211,3 +214,27 @@ def test_check_smiv_dispatcher_dgp_mode(quasi_dgp):
     rep = check_smiv(quasi_dgp, np.linspace(0.3, 3.0, 12),
                      np.linspace(0.1, 0.9, 4))
     assert rep.ok and rep.mode == "dgp"
+
+
+@pytest.mark.parametrize("foresight", ["perfect", "imperfect"])
+def test_custom_cost_matches_its_closed_form_family(quasi_dgp, foresight):
+    # the custom family's root-finding inverse and Gauss-Hermite mean must
+    # reproduce the quasi-linear closed forms they stand in for
+    closed = replace(quasi_dgp, foresight=foresight)
+    custom = DgpSpec.custom(
+        cost_fn=lambda y, z: (closed.g0(z) - closed.g1(z)) * np.ones_like(y),
+        mu0=closed.mu0, mu1=closed.mu1, sigma0=closed.sigma0,
+        sigma1=closed.sigma1, foresight=foresight)
+    a = generate_sample(closed, 2000, seed=5)
+    b = generate_sample(custom, 2000, seed=5)
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.d, b.d)
+    assert 0 < np.sum(a.d) < a.n
+    z = np.array([0.2, 0.7])
+    assert np.allclose(custom.mean_shifted_income(z),
+                       closed.mean_shifted_income(z), rtol=0.0, atol=1e-12)
+    grid = EvaluationGrid(y=np.linspace(0.3, 5.0, 12), z=z)
+    want = population_tables(closed, grid, nodes=2001)
+    got = population_tables(custom, grid, nodes=2001)
+    for name in ("F", "F0", "F1", "p"):
+        assert np.allclose(getattr(got, name), getattr(want, name),
+                           rtol=0.0, atol=1e-12), name

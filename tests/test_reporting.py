@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from roybounds import (
+    ConditionalCdfTable,
     ConfidenceBand,
     EvaluationGrid,
     ObservationSample,
@@ -183,8 +184,9 @@ def _make_band(grid, Cn):
                           identified_mask=np.ones(shape, dtype=bool),
                           alpha=0.05, B=50, seed=0, epsilon=0.0,
                           bandwidth=0.1, side="lower", subset_indices=(0,),
-                          sn=np.zeros((shape[0], 1)), pairs=((0, 0),),
-                          selected=np.ones((shape[0], 1), dtype=bool))
+                          sn=np.zeros((shape[0], 1)),
+                          table=ConditionalCdfTable(grid, *[np.zeros(shape)] * 3,
+                                                    np.zeros(shape[1])))
 
 
 def test_band_csv_round_trip(tmp_path):

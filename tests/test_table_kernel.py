@@ -20,6 +20,7 @@ from roybounds.estimation import (
     TableKernel,
     _repair_columns,
     epanechnikov,
+    estimate_tables,
 )
 from roybounds.inference import (
     _fiber_matrix,
@@ -184,7 +185,6 @@ def test_bootstrap_draws_equal_the_resampling_path():
     grid = EvaluationGrid.from_sample(sample, 25, 4)
     h, seed, B = 0.2, 17, 50
     lsb = sample.lower_support_bound
-    boot = bootstrap_errors(sample, grid, bandwidth=h, B=B, seed=seed)
 
     def reference_table(idx=None):
         F, F0, F1, p = _reference_tables(sample, grid, h, idx)
@@ -192,12 +192,14 @@ def test_bootstrap_draws_equal_the_resampling_path():
                                    bandwidth=h, n_obs=sample.n)
 
     eps = default_epsilon(_fiber_matrix(reference_table(), "lower", lsb)[1])
-    assert boot.epsilon == eps
+    assert default_epsilon(_fiber_matrix(estimate_tables(sample, grid, h),
+                                         "lower", lsb)[1]) == eps
+    _, draws = bootstrap_errors(sample, grid, h, eps, B=B, seed=seed)
     for b, child in enumerate(np.random.SeedSequence(seed).spawn(B)):
         table = reference_table(_philox(child).integers(0, sample.n, size=sample.n))
         pairs, G = _fiber_matrix(table, "lower", lsb)
         theta, _ = _theta(table, pairs, monotonize_eps(G, eps), "lower")
-        assert np.array_equal(boot.draws[b], theta), b
+        assert np.array_equal(draws[b], theta), b
 
 
 # -- the repair loop on Python floats against the row-by-row np.clip ------------
