@@ -307,7 +307,7 @@ def _cmd_infer(config: RunConfig) -> int:
         "critical_value": band.critical_value,
         "identified": band.identified_mask, "alpha": band.alpha,
         "B": band.B, "seed": band.seed, "epsilon": band.epsilon,
-        "bandwidth": band.bandwidth, "side": band.side,
+        "bandwidth": band.table.bandwidth, "side": band.side,
         "subset_indices": list(band.subset_indices),
         "crossing_rejected": surface.rejected}, echo)
     z_bins = np.asarray(config.z_bins, dtype=float) if config.z_bins else None

@@ -113,8 +113,7 @@ class ConditionalCdfTable:
     p[j]     = P(D = 1 | z_j)
 
     Invariants: entries in [0, 1], F = F0 + F1 entrywise, each column non
-    decreasing in y once monotonization is on.  ``n_obs`` is None for
-    population tables.
+    decreasing in y.  ``n_obs`` is None for population tables.
     """
 
     grid: EvaluationGrid
@@ -191,20 +190,20 @@ class TableKernel:
 
     A draw ``idx`` stands for the resample ``(y[idx], d[idx], z[idx])``, as a
     pairs bootstrap makes it; ``table(idx)`` returns that resample's
-    ``estimate_tables`` result bit for bit without building it, and
-    ``table()`` the sample's own.  The constructor sorts y once and computes
-    the Epanechnikov weights of each z column.  Per table and column:
+    ``estimate_tables`` result without building it, and ``table()`` the
+    sample's own.  The constructor ranks y once and computes the Epanechnikov
+    weights of each z column.  Per table and column:
 
     * the kernel moments are sums over the full-length gathered weights,
       which keeps the pairwise summation order of the resample;
     * only the in-window records (a few percent of n at the default
       bandwidth) are sorted, by y and then draw position: the full stable
       sort restricted to the window, ties included;
-    * their cumulative sums give F and F1 at the y grid.  A record outside
-      the window has weight +0 or -0, which leaves a partial sum unchanged
-      except for the sign of a zero (see ``_zero_sign_records``);
+    * their cumulative sums give F and F1 at the y grid;
     * F is pinned to 1 where y >= the largest y drawn, as the weights sum
       to one algebraically.
+
+    Every zero of a table is +0.0.
     """
 
     def __init__(self, sample: ObservationSample, grid: EvaluationGrid,
@@ -216,38 +215,34 @@ class TableKernel:
         self.grid = grid
         self.bandwidth = h
         self._d = sample.d.astype(float)
-        self._order = np.argsort(sample.y, kind="stable")
-        self._y_sorted = sample.y[self._order]
+        order = np.argsort(sample.y, kind="stable")
+        y_sorted = sample.y[order]
+        self._ymax = y_sorted[-1]
         # rank of y among the distinct values: equal y, equal rank
         self._rank = np.empty(sample.n, dtype=np.intp)
-        self._rank[self._order] = np.concatenate(
-            ([0], np.cumsum(self._y_sorted[1:] != self._y_sorted[:-1])))
+        self._rank[order] = np.concatenate(
+            ([0], np.cumsum(y_sorted[1:] != y_sorted[:-1])))
         self._windows = [_window(sample.z, float(z0), h) for z0 in grid.z]
 
-    def table(self, idx: np.ndarray | None = None,
-              monotonize: bool = True) -> ConditionalCdfTable:
+    def table(self, idx: np.ndarray | None = None) -> ConditionalCdfTable:
         """Tables of the draw ``idx`` (None: the sample itself), repaired."""
-        if idx is None:
-            drawn = None
-            ymax = self._y_sorted[-1]
-        else:
-            drawn = np.zeros(self.sample.n, dtype=bool)
-            drawn[idx] = True
-            ymax = np.max(self.sample.y[idx])
+        ymax = self._ymax if idx is None else np.max(self.sample.y[idx])
         ny, nz = self.grid.shape
         F = np.empty((ny, nz))
         F1 = np.empty((ny, nz))
         p = np.empty(nz)
         for j, win in enumerate(self._windows):
-            F[:, j], F1[:, j], p[j] = self._column(win, idx, drawn)
+            F[:, j], F1[:, j], p[j] = self._column(win, idx)
         F[self.grid.y >= ymax] = 1.0
         F0 = F - F1
         p = np.clip(p, 0.0, 1.0)
-        F, F0, F1 = _repair_columns(F, F0, F1, monotonize)
-        return ConditionalCdfTable(grid=self.grid, F=F, F0=F0, F1=F1, p=p,
+        F, F0, F1 = _repair_columns(F, F0, F1)
+        # adding +0.0 is exact for every nonzero value and turns -0.0 into +0.0
+        return ConditionalCdfTable(grid=self.grid, F=F + 0.0, F0=F0 + 0.0,
+                                   F1=F1 + 0.0, p=p + 0.0,
                                    bandwidth=self.bandwidth, n_obs=self.sample.n)
 
-    def _column(self, win: _Window, idx, drawn) -> tuple:
+    def _column(self, win: _Window, idx) -> tuple:
         """Raw F and F1 on the y grid, and p, for one z column."""
         slots = win.slot if idx is None else win.slot[idx]
         s0, s1, s2 = (float(row[slots].sum()) for row in win.moments)
@@ -260,21 +255,8 @@ class TableKernel:
         a = w / s0 if den is None else w * (s2 - s1 * win.dz[k]) / den
         rec = pos if idx is None else idx[pos]
         # unique keys (y rank, then draw position) let the faster unstable
-        # sort give the stable order; the zero-weight extras sort after
-        # every drawn record of equal y, where their place does not matter
-        n = self.sample.n
-        key = self._rank[rec] * (n + 1) + pos
-
-        live = self.sample.y[rec[(a != 0.0) & (self._d[rec] == 1.0)]]
-        limit = live.min() if live.size else np.inf
-        extra = self._zero_sign_records(win, drawn, limit, s0, s1, s2, den)
-        if extra:
-            out, zero = (np.array(v) for v in zip(*extra))
-            rec = np.concatenate((rec, out))
-            a = np.concatenate((a, zero))
-            key = np.concatenate((key, self._rank[out] * (n + 1) + n))
-
-        order = np.argsort(key)
+        # sort give the stable order
+        order = np.argsort(self._rank[rec] * (self.sample.n + 1) + pos)
         rec = rec[order]
         aw = a[order]
         cum_all = np.concatenate(([0.0], np.cumsum(aw)))
@@ -282,42 +264,8 @@ class TableKernel:
         at = np.searchsorted(self.sample.y[rec], self.grid.y, side="right")
         return cum_all[at], cum_d1[at], float(cum_d1[-1])
 
-    def _zero_sign_records(self, win: _Window, drawn, limit: float, s0: float,
-                           s1: float, s2: float, den: float | None) -> list:
-        """Outside records, with their zero weights, that fix signed zeros.
 
-        Until the first nonzero F1 term (at y = ``limit``), a full-length
-        cumulative sum is -0.0 where every record so far weighs -0, and +0.0
-        otherwise.  Within y <= ``limit`` the lowest outside record and the
-        lowest outside record of weight +0 decide that, so those two join
-        the sorted window.  The scan runs up y in doubling chunks.
-        """
-        stop = np.searchsorted(self._y_sorted, limit, side="right")
-        found = []
-        start, size = 0, 64
-        while start < stop:
-            chunk = self._order[start:min(start + size, stop)]
-            chunk = chunk[win.slot[chunk] == 0]
-            if drawn is not None:
-                chunk = chunk[drawn[chunk]]
-            if chunk.size:
-                if den is None:
-                    zero = np.full(chunk.size, 0.0 / s0)
-                else:
-                    zero = 0.0 * (s2 - s1 * (self.sample.z[chunk] - win.z0)) / den
-                if not found:
-                    found.append((chunk[0], zero[0]))
-                plus = np.flatnonzero(~np.signbit(zero))
-                if plus.size:
-                    found.append((chunk[plus[0]], zero[plus[0]]))
-                    break
-            start += size
-            size *= 2
-        return found
-
-
-def _repair_columns(F: np.ndarray, F0: np.ndarray, F1: np.ndarray,
-                    monotonize: bool) -> tuple:
+def _repair_columns(F: np.ndarray, F0: np.ndarray, F1: np.ndarray) -> tuple:
     """Clip to [0, 1], restore F = F0 + F1, and monotonize in y.
 
     F is clipped then run-max'ed; F1 follows a running maximum whose per-step
@@ -332,10 +280,7 @@ def _repair_columns(F: np.ndarray, F0: np.ndarray, F1: np.ndarray,
     s = F0c + F1c
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(s > 0, Fc / np.where(s > 0, s, 1.0), 0.0)
-    F0c = F0c * scale
     F1c = F1c * scale
-    if not monotonize:
-        return Fc, F0c, F1c
     Fm = np.maximum.accumulate(Fc, axis=0)
     Fm = np.clip(Fm, 0.0, 1.0)
     F1m = np.empty_like(F1c)
@@ -359,8 +304,7 @@ def _repair_columns(F: np.ndarray, F0: np.ndarray, F1: np.ndarray,
 
 
 def estimate_tables(sample: ObservationSample, grid: EvaluationGrid,
-                    bandwidth: float | None = None,
-                    monotonize: bool = True) -> ConditionalCdfTable:
+                    bandwidth: float | None = None) -> ConditionalCdfTable:
     """Estimate the conditional CDF decomposition on a grid.
 
     One set of local linear weights is computed per z column and applied to
@@ -369,10 +313,9 @@ def estimate_tables(sample: ObservationSample, grid: EvaluationGrid,
     O(n log n) sort of y, O(n) per z column for the weights, and
     O(m log m + n_y log m) per column for the m in-window records.
     Post-processing clips to [0, 1], rescales F0, F1 proportionally so
-    F = F0 + F1, and enforces monotonicity in y (disable with
-    ``monotonize=False`` for diagnostics).
+    F = F0 + F1, and enforces monotonicity in y.
     """
-    return TableKernel(sample, grid, bandwidth).table(monotonize=monotonize)
+    return TableKernel(sample, grid, bandwidth).table()
 
 
 def conditional_mean(sample: ObservationSample, responses: np.ndarray,

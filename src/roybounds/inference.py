@@ -132,9 +132,8 @@ def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
 
 @dataclass(frozen=True)
 class ConfidenceBand:
-    """Uniform one-sided band over the (y, z) grid."""
+    """Uniform one-sided band over the (y, z) grid of its ``table``."""
 
-    grid: EvaluationGrid
     Cn: np.ndarray
     Chat: np.ndarray
     se: np.ndarray
@@ -144,7 +143,6 @@ class ConfidenceBand:
     B: int
     seed: int
     epsilon: float
-    bandwidth: float
     side: str
     subset_indices: tuple
     sn: np.ndarray
@@ -249,9 +247,9 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid | None = Non
     for iz in range(grid.z.size):
         cols = np.flatnonzero(z_of_pair == iz)
         mask[:, iz] &= ~np.any(clamped[:, cols], axis=1)
-    return ConfidenceBand(grid=grid, Cn=Cn, Chat=Chat, se=se_binding,
+    return ConfidenceBand(Cn=Cn, Chat=Chat, se=se_binding,
                           critical_value=crit,
                           identified_mask=mask, alpha=alpha, B=B, seed=seed,
-                          epsilon=epsilon, bandwidth=table.bandwidth, side=side,
+                          epsilon=epsilon, side=side,
                           subset_indices=tuple(int(i) for i in subset_indices),
                           sn=sn, table=table)

@@ -37,6 +37,7 @@ FAMILIES = ("pure_roy", "quasi_linear", "multiplicative", "quadratic", "isoelast
 
 _PROBE_POINTS = 33  # z probe resolution for closed-form shape validation
 _ZPARAMS = ("mu0", "mu1", "sigma0", "sigma1", "g0", "g1", "eta0", "eta1", "f")
+_PROBS_ATOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's sum tolerance
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,23 @@ class ZLaw:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "choice", "fixed"):
-            raise DomainError(f"unknown z law kind {self.kind!r}")
+        numbers = {"uniform": ("low", "high"), "choice": ("values", "probs"),
+                   "fixed": ("value",)}.get(self.kind)
+        if numbers is None:
+            raise InvalidDgpError(f"unknown z law kind {self.kind!r}")
+        for name in numbers:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidDgpError(f"z law {name} must be finite")
         if self.kind == "uniform" and not self.low < self.high:
-            raise DomainError("uniform z law needs low < high")
+            raise InvalidDgpError("uniform z law needs low < high")
         if self.kind == "choice":
             if len(self.values) == 0:
-                raise DomainError("choice z law needs at least one value")
+                raise InvalidDgpError("choice z law needs at least one value")
             if self.probs and len(self.probs) != len(self.values):
-                raise DomainError("probs must match values")
+                raise InvalidDgpError("z law probs must match values")
+            if self.probs and (min(self.probs) < 0.0
+                               or abs(math.fsum(self.probs) - 1.0) > _PROBS_ATOL):
+                raise InvalidDgpError("z law probs must be non-negative and sum to 1")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "uniform":
@@ -222,9 +231,6 @@ class EvaluationGrid:
     @property
     def shape(self) -> tuple:
         return (self.y.size, self.z.size)
-
-    def max_y_spacing(self) -> float:
-        return float(np.max(np.diff(self.y))) if self.y.size > 1 else 0.0
 
     @staticmethod
     def from_sample(sample: ObservationSample, n_y: int = 200, n_z: int = 8) -> "EvaluationGrid":
@@ -557,8 +563,11 @@ class DgpSpec:
         for name, value in values.items():
             try:
                 kw[name] = as_zparam(value) if name in _ZPARAMS else float(value)
-            except (KeyError, TypeError, ValueError):
+                numbers = kw[name].spec().values() if name in _ZPARAMS else [kw[name]]
+            except (AttributeError, KeyError, TypeError, ValueError):
                 raise InvalidDgpError(f"malformed dgp value {name}: {value!r}") from None
+            if not all(map(math.isfinite, numbers)):
+                raise InvalidDgpError(f"dgp value {name} must be finite: {value!r}")
         return DgpSpec(
             family=obj["family"],
             foresight=obj.get("foresight", "perfect"),

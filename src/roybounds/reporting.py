@@ -203,7 +203,7 @@ def write_random_cost_csv(rc: RandomCostCdfBounds, path, config=None) -> None:
 
 
 def write_band_csv(band: ConfidenceBand, path, config=None) -> None:
-    _write_grid_long(path, config, band.grid.y, band.grid.z,
+    _write_grid_long(path, config, band.table.grid.y, band.table.grid.z,
                      ["Cn", "estimate", "se", "critval", "identified"],
                      [band.Cn, band.Chat, band.se,
                       np.full(band.Cn.shape, band.critical_value),
@@ -256,7 +256,7 @@ def band_values_at(band: ConfidenceBand, y, z):
 
     Returns (values, clamped flags).
     """
-    yg, zg = band.grid.y, band.grid.z
+    yg, zg = band.table.grid.y, band.table.grid.z
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     yc = np.clip(y, yg[0], yg[-1])

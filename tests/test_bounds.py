@@ -104,7 +104,6 @@ def test_resimulation_reproduces_tables(quasi_dgp):
     s2 = resimulate_sample(s, surf)
     t1 = estimate_tables(s, grid, bandwidth=0.12)
     t2 = estimate_tables(s2, grid, bandwidth=0.12)
-    tol = 2.0 * grid.max_y_spacing() * 1.0  # sup-norm budget on cdf scale
     # cdfs are Lipschitz-ish on the interior grid; compare on probability scale
     assert np.max(np.abs(t1.F - t2.F)) <= 0.05
     assert np.max(np.abs(t1.p - t2.p)) <= 0.02

@@ -148,6 +148,28 @@ def test_simulate_estimate_bounds_infer_pipeline(tmp_path):
     assert set(np.unique(scols["kind"])) == {"abs", "ratio"}
 
 
+def test_estimate_writes_no_negative_zero(tmp_path):
+    # the quasi-linear design of scripts/golden_artifacts.py, whose tables
+    # held -0.0 cells when zero weights reached the cumulative sums
+    affine = {"mu0": {"intercept": 0.0, "slope": 0.3},
+              "mu1": {"intercept": 0.2, "slope": 0.5},
+              "sigma0": 0.6, "sigma1": 0.7, "outcome_corr": 0.0,
+              "g0": {"intercept": 1.5, "slope": -0.8}, "g1": 0.3}
+    config = _config_file(tmp_path, dgp={"family": "quasi_linear", "params": affine})
+    sample = tmp_path / "sample.csv"
+    assert main(["simulate", "--config", config, "--n", "600", "--seed", "3",
+                 "--output", str(sample)]) == 0
+    tables = tmp_path / "tables.csv"
+    assert main(["estimate", "--input", str(sample), "--grid-y", "25",
+                 "--grid-z", "4", "--output", str(tables)]) == 0
+    cols, _ = read_long_csv(tables)
+    numbers = list(np.concatenate(list(cols.values())))
+    assert len(numbers) == 25 * 4 * 6
+    with open(str(tables)[: -len(".csv")] + ".json") as handle:
+        json.load(handle, parse_float=lambda text: numbers.append(float(text)))
+    assert not any(x == 0.0 and np.signbit(x) for x in numbers)
+
+
 def test_bounds_mode_all_writes_three_artifacts(tmp_path):
     sample_path = _simulated(tmp_path, n=2000, seed=3)
     out = tmp_path / "b.csv"
@@ -235,10 +257,17 @@ def _params_with(**changes):
     _params_with(g1={"slope": 0.1}),
     _dgp_with(params="abc"),
     _dgp_with(lower_support_bound="abc"),
-    "abc"],
+    "abc",
+    _dgp_with(z_law={"kind": "choice", "values": [0.2, 0.7], "probs": [0.5, 0.6]}),
+    _dgp_with(z_law={"kind": "choice", "values": [0.2, 0.7], "probs": [-0.5, 1.5]}),
+    _params_with(sigma0=float("nan")),
+    _dgp_with(z_law={"kind": "uniform", "low": 0.0, "high": float("inf")}),
+    _dgp_with(lower_support_bound=float("nan"))],
     ids=["no-family", "bogus-z-law-kind", "text-z-law-bound", "text-z-law",
          "text-param", "unknown-param", "short-pair", "no-intercept",
-         "text-params", "text-lower-bound", "text-dgp"])
+         "text-params", "text-lower-bound", "text-dgp", "probs-sum-above-one",
+         "negative-probs", "nan-param", "infinite-z-law-bound",
+         "nan-lower-bound"])
 @pytest.mark.parametrize("command", ["simulate", "coverage"])
 def test_malformed_dgp_is_a_one_line_error(tmp_path, capsys, dgp, command):
     out = tmp_path / "out.csv"
@@ -248,6 +277,7 @@ def test_malformed_dgp_is_a_one_line_error(tmp_path, capsys, dgp, command):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dgp" in err or "z law" in err  # the message names the section
     assert not out.exists()
 
 

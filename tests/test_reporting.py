@@ -179,14 +179,15 @@ def test_if_curve_csv_keeps_infinities(tmp_path):
 
 def _make_band(grid, Cn):
     shape = Cn.shape
-    return ConfidenceBand(grid=grid, Cn=Cn, Chat=Cn.copy(),
+    return ConfidenceBand(Cn=Cn, Chat=Cn.copy(),
                           se=np.zeros(shape), critical_value=0.0,
                           identified_mask=np.ones(shape, dtype=bool),
                           alpha=0.05, B=50, seed=0, epsilon=0.0,
-                          bandwidth=0.1, side="lower", subset_indices=(0,),
+                          side="lower", subset_indices=(0,),
                           sn=np.zeros((shape[0], 1)),
                           table=ConditionalCdfTable(grid, *[np.zeros(shape)] * 3,
-                                                    np.zeros(shape[1])))
+                                                    np.zeros(shape[1]),
+                                                    bandwidth=0.1))
 
 
 def test_band_csv_round_trip(tmp_path):
