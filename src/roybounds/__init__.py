@@ -44,7 +44,6 @@ from .estimation import (
     ConditionalCdfTable,
     conditional_mean,
     estimate_tables,
-    local_linear_fit,
     silverman_bandwidth,
 )
 from .inference import (
@@ -97,7 +96,7 @@ __all__ = [
     "ConfigError", "DomainError", "InvalidDgpError", "InvalidUtilityError",
     "NoSupportError", "RoyBoundsError",
     "ConditionalCdfTable", "conditional_mean", "estimate_tables",
-    "local_linear_fit", "silverman_bandwidth",
+    "silverman_bandwidth",
     "ConfidenceBand", "bootstrap_errors", "clr_band", "confidence_band",
     "default_epsilon", "default_selection_subset", "monotonize_eps",
     "DgpSpec", "EvaluationGrid", "ObservationSample", "SectorUtilityPair",

@@ -36,7 +36,7 @@ from .estimation import (
     ConditionalCdfTable,
     conditional_mean,
     identification_tol,
-    silverman_bandwidth,
+    resolve_bandwidth,
 )
 from .model import EvaluationGrid, ObservationSample
 
@@ -157,8 +157,7 @@ def if_bounds_from_moments(z_grid, m, m0b, p, p_tol: float = 1e-6,
 def cost_bounds_if(sample: ObservationSample, z_grid, bandwidth: float | None = None,
                    p_tol: float | None = None) -> IfBoundCurve:
     """Estimate the imperfect-foresight moment vectors and bound the cost."""
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(sample.z)
+    bandwidth = resolve_bandwidth(sample.z, bandwidth)
     b_low = sample.lower_support_bound
     m = conditional_mean(sample, sample.y, z_grid, bandwidth)
     m0b = conditional_mean(sample, sample.y * (1.0 - sample.d) + b_low * sample.d,

@@ -116,10 +116,10 @@ _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"
 
 
 def _load_config_file(path) -> dict:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -214,7 +214,10 @@ def _tagged(path, tag: str) -> Path:
 def _require_input(config: RunConfig):
     if config.input is None:
         raise ConfigError(f"{config.command} needs an --input CSV")
-    return ingest_csv(config.input)
+    try:
+        return ingest_csv(config.input)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"input file {config.input}: {exc}") from None
 
 
 def _crossing_tol(config: RunConfig, n: int) -> float:
@@ -364,10 +367,7 @@ def main(argv=None) -> int:
     try:
         config = build_config(args)
         return run_command(config)
-    except RoyBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RoyBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,11 +4,11 @@ All conditional objects are estimated the same way: an Epanechnikov-weighted
 local linear regression of an indicator (or of y itself) on z, evaluated at
 each grid point z0.  Because the fit is linear in the responses, the
 intercept is a fixed linear functional of the records once z0 and the
-bandwidth are fixed; tables over a y grid therefore reduce to one weighted
-cumulative sum per z column, over the records inside the column's kernel
-window.  ``TableKernel`` computes those tables for a sample and for any
-bootstrap index draw from it, so the point estimate and the bootstrap share
-one code path.
+bandwidth are fixed: one set of weights per z column, over the records in
+its kernel window, computed in one place (``_Window.weights``).
+``TableKernel`` applies them as weighted cumulative sums over a y grid, for
+a sample and for any bootstrap index draw from it; ``conditional_mean``
+applies them to one response vector.
 """
 
 from __future__ import annotations
@@ -42,65 +42,19 @@ def silverman_bandwidth(z: np.ndarray) -> float:
     return 1.06 * scale * n ** (-0.2)
 
 
+def resolve_bandwidth(z: np.ndarray, bandwidth: float | None) -> float:
+    """The given bandwidth, or Silverman's rule on z when it is None."""
+    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(z)
+    if h <= 0:
+        raise DomainError("bandwidth must be positive")
+    return h
+
+
 def identification_tol(n_obs: int | None) -> float:
     """Cells with F1 (or p) below this are unidentified; n_obs None: population."""
     if n_obs is None:
         return 1e-6
     return max(5.0 / n_obs, 1e-3)
-
-
-def _ll_denominator(s0: float, s1: float, s2: float, h: float) -> float | None:
-    """Determinant s0 s2 - s1^2 of the local design from its kernel moments.
-
-    Returns None when the design is singular (all in-window z equal), where
-    the fit falls back to the Nadaraya-Watson weights w / s0.
-    """
-    den = s0 * s2 - s1 * s1
-    if den <= _SINGULAR_REL_TOL * max(s0 * s2, s1 * s1, s0 * s0 * h * h):
-        return None
-    return den
-
-
-def _ll_coefficients(z: np.ndarray, z0: float, h: float) -> np.ndarray:
-    """Per-record weights a_i with intercept = sum_i a_i r_i for any response r.
-
-    Falls back to the Nadaraya-Watson weights when the local design is
-    singular (all in-window z equal).  Raises NoSupportError when the window
-    holds no mass.
-    """
-    if h <= 0:
-        raise DomainError("bandwidth must be positive")
-    w = epanechnikov((z - z0) / h)
-    s0 = float(np.sum(w))
-    if s0 <= 0.0:
-        raise NoSupportError(z0, h)
-    dz = z - z0
-    s1 = float(np.sum(w * dz))
-    s2 = float(np.sum(w * dz * dz))
-    den = _ll_denominator(s0, s1, s2, h)
-    if den is None:
-        return w / s0
-    return w * (s2 - s1 * dz) / den
-
-
-def local_linear_fit(sample: ObservationSample, responses: np.ndarray,
-                     z0: float, bandwidth: float) -> float:
-    """Local linear intercept estimate of E[response | Z = z0].
-
-    Parameters
-    ----------
-    sample : ObservationSample
-        Provides the regressor values z.
-    responses : array
-        One response per record (indicators for CDFs, y for means).
-    z0, bandwidth : float
-        Evaluation point and Epanechnikov window half-width.
-    """
-    responses = np.asarray(responses, dtype=float)
-    if responses.shape != sample.z.shape:
-        raise DomainError("responses must align with the sample records")
-    a = _ll_coefficients(sample.z, float(z0), float(bandwidth))
-    return float(a @ responses)
 
 
 @dataclass(frozen=True)
@@ -138,20 +92,6 @@ class ConditionalCdfTable:
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
-    def validate(self, atol: float = 1e-9, monotone: bool = True) -> None:
-        for name in ("F", "F0", "F1"):
-            arr = getattr(self, name)
-            if np.any(arr < -atol) or np.any(arr > 1 + atol):
-                raise DomainError(f"{name} leaves [0, 1]")
-        if np.any(self.p < -atol) or np.any(self.p > 1 + atol):
-            raise DomainError("p leaves [0, 1]")
-        if np.max(np.abs(self.F - self.F0 - self.F1)) > atol:
-            raise DomainError("F != F0 + F1")
-        if monotone and self.F.shape[0] > 1:
-            for name in ("F", "F0", "F1"):
-                if np.any(np.diff(getattr(self, name), axis=0) < -atol):
-                    raise DomainError(f"{name} has a decreasing column")
-
     def identification_tol(self) -> float:
         """Cells with F1 (or p) below this are treated as unidentified."""
         return identification_tol(self.n_obs)
@@ -170,6 +110,25 @@ class _Window:
     slot: np.ndarray
     moments: np.ndarray
     dz: np.ndarray
+
+    def weights(self, slots: np.ndarray, h: float) -> tuple:
+        """In-window positions ``pos`` of ``slots`` (``slot`` or a draw of it)
+        and their intercept weights ``a``; NoSupportError if the window is empty.
+
+        The kernel moments sum the full-length gathered weights, in the
+        draw's pairwise summation order.  A singular design (all in-window z
+        equal) takes the Nadaraya-Watson weights w / s0.
+        """
+        s0, s1, s2 = (float(row[slots].sum()) for row in self.moments)
+        if s0 <= 0.0:
+            raise NoSupportError(self.z0, h)
+        pos = (slots != 0).nonzero()[0]
+        k = slots[pos]
+        w = self.moments[0, k]
+        den = s0 * s2 - s1 * s1
+        if den <= _SINGULAR_REL_TOL * max(s0 * s2, s1 * s1, s0 * s0 * h * h):
+            return pos, w / s0
+        return pos, w * (s2 - s1 * self.dz[k]) / den
 
 
 def _window(z: np.ndarray, z0: float, h: float) -> _Window:
@@ -194,8 +153,7 @@ class TableKernel:
     sample's own.  The constructor ranks y once and computes the Epanechnikov
     weights of each z column.  Per table and column:
 
-    * the kernel moments are sums over the full-length gathered weights,
-      which keeps the pairwise summation order of the resample;
+    * the intercept weights come from ``_Window.weights``;
     * only the in-window records (a few percent of n at the default
       bandwidth) are sorted, by y and then draw position: the full stable
       sort restricted to the window, ties included;
@@ -208,9 +166,7 @@ class TableKernel:
 
     def __init__(self, sample: ObservationSample, grid: EvaluationGrid,
                  bandwidth: float | None = None):
-        h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(sample.z)
-        if h <= 0:
-            raise DomainError("bandwidth must be positive")
+        h = resolve_bandwidth(sample.z, bandwidth)
         self.sample = sample
         self.grid = grid
         self.bandwidth = h
@@ -245,14 +201,7 @@ class TableKernel:
     def _column(self, win: _Window, idx) -> tuple:
         """Raw F and F1 on the y grid, and p, for one z column."""
         slots = win.slot if idx is None else win.slot[idx]
-        s0, s1, s2 = (float(row[slots].sum()) for row in win.moments)
-        if s0 <= 0.0:
-            raise NoSupportError(win.z0, self.bandwidth)
-        den = _ll_denominator(s0, s1, s2, self.bandwidth)
-        pos = (slots != 0).nonzero()[0]
-        k = slots[pos]
-        w = win.moments[0, k]
-        a = w / s0 if den is None else w * (s2 - s1 * win.dz[k]) / den
+        pos, a = win.weights(slots, self.bandwidth)
         rec = pos if idx is None else idx[pos]
         # unique keys (y rank, then draw position) let the faster unstable
         # sort give the stable order
@@ -320,11 +269,20 @@ def estimate_tables(sample: ObservationSample, grid: EvaluationGrid,
 
 def conditional_mean(sample: ObservationSample, responses: np.ndarray,
                      z_grid: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
-    """Local linear E[response | z] over a z grid (shared weights per column)."""
-    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(sample.z)
+    """Local linear E[response | z] over a z grid, one response per record.
+
+    The tables' weights (``_Window.weights``), applied as one full-length dot
+    product that is zero outside the window: the summation order over all n.
+    """
+    h = resolve_bandwidth(sample.z, bandwidth)
     responses = np.asarray(responses, dtype=float)
+    if responses.shape != sample.z.shape:
+        raise DomainError("responses must align with the sample records")
     out = np.empty(len(z_grid))
     for j, z0 in enumerate(np.asarray(z_grid, dtype=float)):
-        a = _ll_coefficients(sample.z, float(z0), h)
+        win = _window(sample.z, float(z0), h)
+        pos, a_in = win.weights(win.slot, h)
+        a = np.zeros(sample.n)
+        a[pos] = a_in
         out[j] = float(a @ responses)
     return out

@@ -183,6 +183,8 @@ class ObservationSample:
             raise DomainError("empty sample")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
             raise DomainError("non-finite y or z values")
+        if not math.isfinite(self.lower_support_bound):
+            raise DomainError("lower support bound must be finite")
         dd = d.astype(float)
         if not np.all((dd == 0.0) | (dd == 1.0)):
             raise DomainError("d must be binary 0/1")
@@ -343,10 +345,17 @@ class DgpSpec:
             raise InvalidDgpError(f"unknown family {self.family!r}")
         if self.foresight not in ("perfect", "imperfect"):
             raise InvalidDgpError(f"unknown foresight {self.foresight!r}")
-        if not -1.0 <= self.outcome_corr <= 1.0:
-            raise InvalidDgpError("outcome_corr must lie in [-1, 1]")
         for name in _ZPARAMS:
             object.__setattr__(self, name, as_zparam(getattr(self, name)))
+        z = self.z_law.support_probe()
+        for name in ("outcome_corr", "rho", "lower_support_bound", *_ZPARAMS):
+            value = getattr(self, name)
+            with np.errstate(all="ignore"):  # an infinite slope at z = 0 gives nan
+                value = value(z) if callable(value) else value
+            if value is not None and not np.all(np.isfinite(value)):
+                raise InvalidDgpError(f"dgp value {name} must be finite")
+        if not -1.0 <= self.outcome_corr <= 1.0:
+            raise InvalidDgpError("outcome_corr must lie in [-1, 1]")
         if self.family == "quasi_linear" and (self.g0 is None or self.g1 is None):
             raise InvalidDgpError("quasi_linear needs g0 and g1")
         if self.family == "multiplicative" and (self.g0 is None or self.g1 is None):
@@ -357,15 +366,11 @@ class DgpSpec:
             raise InvalidDgpError("isoelastic needs rho")
         if self.family == "custom" and self.cost_fn is None:
             raise InvalidDgpError("custom family needs cost_fn")
-        self._validate_shape()
+        self._validate_shape(z)
 
     # -- closed-form validation of the two cost-shape restrictions ----------
 
-    def _z_probe(self) -> np.ndarray:
-        return self.z_law.support_probe()
-
-    def _validate_shape(self) -> None:
-        z = self._z_probe()
+    def _validate_shape(self, z: np.ndarray) -> None:
         s0 = np.atleast_1d(self.sigma0(z)).astype(float)
         s1 = np.atleast_1d(self.sigma1(z)).astype(float)
         if np.any(s0 <= 0) or np.any(s1 <= 0):
@@ -493,7 +498,7 @@ class DgpSpec:
         """Almost-sure income cap (quadratic family only), inf otherwise."""
         if self.family != "quadratic":
             return math.inf
-        z = self._z_probe()
+        z = self.z_law.support_probe()
         e0 = np.atleast_1d(self.eta0(z)).astype(float)
         e1 = np.atleast_1d(self.eta1(z)).astype(float)
         return float(np.min(1.0 / (2.0 * np.maximum(e0, e1))))
@@ -563,11 +568,10 @@ class DgpSpec:
         for name, value in values.items():
             try:
                 kw[name] = as_zparam(value) if name in _ZPARAMS else float(value)
-                numbers = kw[name].spec().values() if name in _ZPARAMS else [kw[name]]
-            except (AttributeError, KeyError, TypeError, ValueError):
-                raise InvalidDgpError(f"malformed dgp value {name}: {value!r}") from None
-            if not all(map(math.isfinite, numbers)):
-                raise InvalidDgpError(f"dgp value {name} must be finite: {value!r}")
+            except (KeyError, TypeError, ValueError):
+                kw[name] = None
+            if kw[name] is None:  # as_zparam reads null as unset; to_json never writes it
+                raise InvalidDgpError(f"malformed dgp value {name}: {value!r}")
         return DgpSpec(
             family=obj["family"],
             foresight=obj.get("foresight", "perfect"),

@@ -88,7 +88,7 @@ def ingest_csv(path) -> ObservationSample:
     An optional b_lower column sets the file-level support bound and must
     be constant.  Diagnostics name the physical line of the offending row.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = None
         cols = {}
@@ -110,10 +110,13 @@ def ingest_csv(path) -> ObservationSample:
                 if k >= len(row):
                     raise DomainError(f"row {line}: missing value for column {name!r}")
                 try:
-                    return parse_float(row[k])
+                    value = parse_float(row[k])
                 except ValueError:
+                    value = math.nan
+                if math.isnan(value):  # parse_float reads an empty cell as nan
                     raise DomainError(
-                        f"row {line}: column {name!r} is not numeric: {row[k]!r}") from None
+                        f"row {line}: column {name!r} is not numeric: {row[k]!r}")
+                return value
 
             yv, dv, zv = cell("y"), cell("d"), cell("z")
             if dv not in (0.0, 1.0):

@@ -335,3 +335,26 @@ def test_single_z_value_is_rejected_by_bound_commands(tmp_path, capsys):
             "error: bound operations need at least 2 distinct z values\n")
     assert [p.name for p in tmp_path.iterdir()] == ["flat.csv"]
     assert main(["estimate", *common, "--output", str(tmp_path / "t.csv")]) == 0
+
+
+@pytest.mark.parametrize("cell", ["", "nan"])
+def test_blank_or_nan_b_lower_is_not_numeric(tmp_path, capsys, cell):
+    path = tmp_path / "s.csv"
+    path.write_text(f"y,d,z,b_lower\n1.5,1,0.2,{cell}\n2.0,0,0.7,{cell}\n")
+    out = tmp_path / "t.csv"
+    assert main(["estimate", "--input", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: row 2: column 'b_lower' is not numeric: {cell!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--input", "--config"])
+def test_non_utf8_file_is_a_one_line_error(tmp_path, capsys, flag):
+    path = tmp_path / "latin.bin"
+    path.write_bytes(b"\xff\xfey,d,z\n1.5,1,0.2\n")
+    out = tmp_path / "t.csv"
+    assert main(["estimate", flag, str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not out.exists()

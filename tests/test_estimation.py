@@ -13,7 +13,8 @@ from roybounds import (
     generate_sample,
     silverman_bandwidth,
 )
-from roybounds.estimation import _repair_columns, epanechnikov, local_linear_fit
+from roybounds.errors import DomainError
+from roybounds.estimation import _repair_columns, epanechnikov
 
 
 def oracle_local_linear(x, resp, x0, h):
@@ -46,7 +47,7 @@ def test_local_linear_matches_wls_oracle(quasi_sample):
     resp = (quasi_sample.y <= 1.2).astype(float)
     h = 0.15
     for z0 in (0.2, 0.5, 0.8):
-        ours = local_linear_fit(quasi_sample, resp, z0, h)
+        ours = conditional_mean(quasi_sample, resp, [z0], h)[0]
         ref = oracle_local_linear(quasi_sample.z, resp, z0, h)
         assert ours == pytest.approx(ref, abs=1e-10)
 
@@ -56,7 +57,12 @@ def test_no_support_raises():
     s = ObservationSample(y=np.ones(50), d=np.zeros(50, dtype=int),
                           z=np.full(50, 0.5))
     with pytest.raises(NoSupportError):
-        local_linear_fit(s, np.ones(50), 0.99, 0.01)
+        conditional_mean(s, np.ones(50), [0.99], 0.01)
+
+
+def test_conditional_mean_rejects_misaligned_responses(quasi_sample):
+    with pytest.raises(DomainError, match="align"):
+        conditional_mean(quasi_sample, np.ones(quasi_sample.n - 1), [0.5], 0.2)
 
 
 def test_tables_additivity(quasi_sample, small_grid):
@@ -132,5 +138,5 @@ def test_local_linear_reproduces_affine_exactly(seed):
     resp = a + b * z
     s = ObservationSample(y=np.abs(resp) + 1.0, d=np.zeros(300, dtype=int), z=z)
     z0 = float(rng.uniform(0.2, 0.8))
-    got = local_linear_fit(s, resp, z0, 0.25)
+    got = conditional_mean(s, resp, [z0], 0.25)[0]
     assert got == pytest.approx(a + b * z0, abs=1e-8)

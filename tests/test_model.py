@@ -35,6 +35,12 @@ def test_sample_validation_rejects_y_below_support():
                           lower_support_bound=0.0)
 
 
+def test_sample_validation_rejects_nan_support_bound():
+    with pytest.raises(DomainError, match="lower support bound"):
+        ObservationSample(y=[1.0, 2.0], d=[0, 1], z=[0.1, 0.2],
+                          lower_support_bound=float("nan"))
+
+
 def test_sample_arrays_read_only(quasi_sample):
     with pytest.raises(ValueError):
         quasi_sample.y[0] = 99.0
@@ -70,6 +76,30 @@ def test_multiplicative_rejects_slope_order():
 def test_isoelastic_needs_rho_above_one():
     with pytest.raises(InvalidDgpError):
         DgpSpec.isoelastic(mu0=0.0, mu1=0.0, sigma0=0.5, sigma1=0.6, rho=0.9)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_QUASI = dict(mu0=0.0, mu1=0.0, sigma0=0.5, sigma1=0.5, g0=1.0, g1=0.0)
+
+
+@pytest.mark.parametrize("field,make", [
+    ("g0", lambda: DgpSpec.quasi_linear(**{**_QUASI, "g0": _NAN})),
+    ("g0", lambda: DgpSpec.quasi_linear(**{**_QUASI, "g0": (1.0, _INF)})),
+    ("mu1", lambda: DgpSpec.quasi_linear(**{**_QUASI, "mu1": _NAN})),
+    ("sigma0", lambda: DgpSpec.quasi_linear(**{**_QUASI, "sigma0": _NAN})),
+    ("rho", lambda: DgpSpec.isoelastic(mu0=0.0, mu1=0.0, sigma0=0.5, sigma1=0.6,
+                                       rho=_NAN)),
+    ("lower_support_bound",
+     lambda: DgpSpec.quasi_linear(**_QUASI, lower_support_bound=_NAN)),
+    ("g1", lambda: DgpSpec.multiplicative(mu0=0.0, mu1=0.0, sigma0=0.5, sigma1=0.5,
+                                          g0=1.0, g1=_NAN)),
+    ("f", lambda: DgpSpec.quadratic(mu0=0.0, mu1=0.0, sigma0=0.5, sigma1=0.5,
+                                    eta0=0.1, eta1=0.2, f=_NAN))],
+    ids=["nan-g0", "infinite-slope-g0", "nan-mu1", "nan-sigma0", "nan-rho",
+         "nan-lower-bound", "nan-multiplicative-g1", "nan-quadratic-f"])
+def test_non_finite_dgp_values_are_rejected(field, make):
+    with pytest.raises(InvalidDgpError, match=f"dgp value {field} must be finite"):
+        make()
 
 
 def test_unknown_family_rejected():

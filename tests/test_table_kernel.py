@@ -1,11 +1,14 @@
-"""The table kernel against the estimator it replaced, bit for bit.
+"""The table kernel and conditional means against the estimator they
+replaced, bit for bit.
 
 The reference below is the earlier estimator, kept verbatim in spirit: build
 the resample ``(y[idx], d[idx], z[idx])``, then per z column compute the
 local linear weights over all n records, stable-argsort all of y and take
 full-length cumulative sums.  The kernel must give the same floats, for the
 sample itself and for any index draw; its zeros are all +0.0, so the
-reference's signed zeros are made +0.0 before the byte comparison.
+reference's signed zeros are made +0.0 before the byte comparison.  A
+conditional mean must equal the dot product of those weights with the
+response, which pins the imperfect-foresight artifacts.
 """
 
 import numpy as np
@@ -20,8 +23,10 @@ from roybounds.estimation import (
     ConditionalCdfTable,
     TableKernel,
     _repair_columns,
+    conditional_mean,
     epanechnikov,
     estimate_tables,
+    resolve_bandwidth,
 )
 from roybounds.inference import (
     _fiber_matrix,
@@ -201,6 +206,38 @@ def test_bootstrap_draws_equal_the_resampling_path():
         pairs, G = _fiber_matrix(table, "lower", lsb)
         theta, _ = _theta(table, pairs, monotonize_eps(G, eps), "lower")
         assert np.array_equal(draws[b], theta), b
+
+
+# -- conditional means against the reference weights over all n records --------
+
+def _check_means(sample, z_grid, h):
+    d = sample.d.astype(float)
+    b_low = sample.lower_support_bound
+    for r in (sample.y, d, sample.y * (1.0 - d) + b_low * d):
+        want = np.array([float(_reference_weights(sample.z, float(z0), h) @ r)
+                         for z0 in z_grid])
+        assert conditional_mean(sample, r, z_grid, h).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,seed,h", [(2000, 2, 0.2), (500, 3, 0.1),
+                                      (100_000, 1, None)])
+def test_conditional_means_random_samples(n, seed, h):
+    sample = generate_sample(quasi_dgp_spec(), n, seed=seed)
+    z_grid = EvaluationGrid.from_sample(sample, 2, 8).z
+    # n = 100 000 takes the default (Silverman) bandwidth
+    _check_means(sample, z_grid, resolve_bandwidth(sample.z, h))
+
+
+def test_conditional_means_singular_and_empty_windows():
+    sample = _two_cluster_sample()
+    # z0 = 0.25, 0.75: every in-window z equals z0 (Nadaraya-Watson);
+    # z0 = 0.5 with h = 0.3 sees both clusters
+    _check_means(sample, np.array([0.25, 0.5, 0.75]), 0.3)
+    # z0 = 0.5 with h = 0.25: both clusters sit at |u| = 1, weight 0
+    with pytest.raises(NoSupportError):
+        _reference_weights(sample.z, 0.5, 0.25)
+    with pytest.raises(NoSupportError):
+        conditional_mean(sample, sample.y, np.array([0.5]), 0.25)
 
 
 # -- the repair loop on Python floats against the row-by-row np.clip ------------
