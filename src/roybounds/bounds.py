@@ -159,10 +159,10 @@ def cost_bounds_if(sample: ObservationSample, z_grid, bandwidth: float | None = 
     """Estimate the imperfect-foresight moment vectors and bound the cost."""
     bandwidth = resolve_bandwidth(sample.z, bandwidth)
     b_low = sample.lower_support_bound
-    m = conditional_mean(sample, sample.y, z_grid, bandwidth)
-    m0b = conditional_mean(sample, sample.y * (1.0 - sample.d) + b_low * sample.d,
-                           z_grid, bandwidth)
-    p = np.clip(conditional_mean(sample, sample.d, z_grid, bandwidth), 0.0, 1.0)
+    m, m0b, p = conditional_mean(
+        sample, [sample.y, sample.y * (1.0 - sample.d) + b_low * sample.d, sample.d],
+        z_grid, bandwidth)
+    p = np.clip(p, 0.0, 1.0)
     if p_tol is None:
         p_tol = identification_tol(sample.n)
     return if_bounds_from_moments(z_grid, m, m0b, p, p_tol=p_tol,

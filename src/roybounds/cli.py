@@ -79,12 +79,13 @@ class RunConfig:
             raise ConfigError("grid-y must be at least 2")
         if self.grid_z < 1:
             raise ConfigError("grid-z must be at least 1")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ConfigError("epsilon must be nonnegative")
-        if self.crossing_tol is not None and self.crossing_tol < 0:
-            raise ConfigError("crossing tolerance must be nonnegative")
+        # the chained comparisons are false for NaN
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        if self.epsilon is not None and not 0.0 <= self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if self.crossing_tol is not None and not 0.0 <= self.crossing_tol < np.inf:
+            raise ConfigError(f"crossing-tol must be nonnegative and finite, got {self.crossing_tol}")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
         if self.reps < 1:

@@ -271,18 +271,23 @@ def conditional_mean(sample: ObservationSample, responses: np.ndarray,
                      z_grid: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
     """Local linear E[response | z] over a z grid, one response per record.
 
-    The tables' weights (``_Window.weights``), applied as one full-length dot
-    product that is zero outside the window: the summation order over all n.
+    ``responses`` is one vector of n or a (k, n) stack; the result has one
+    entry, or one row per response, per z.  The tables' weights
+    (``_Window.weights``) are built once per z and applied to each response
+    as its own full-length dot product that is zero outside the window: the
+    summation order over all n, which a matrix product would not keep.
     """
     h = resolve_bandwidth(sample.z, bandwidth)
     responses = np.asarray(responses, dtype=float)
-    if responses.shape != sample.z.shape:
+    if responses.shape[-1:] != sample.z.shape or responses.ndim > 2:
         raise DomainError("responses must align with the sample records")
-    out = np.empty(len(z_grid))
+    stack = responses.reshape(-1, sample.n)
+    out = np.empty((len(stack), len(z_grid)))
     for j, z0 in enumerate(np.asarray(z_grid, dtype=float)):
         win = _window(sample.z, float(z0), h)
         pos, a_in = win.weights(win.slot, h)
         a = np.zeros(sample.n)
         a[pos] = a_in
-        out[j] = float(a @ responses)
-    return out
+        for i, r in enumerate(stack):
+            out[i, j] = float(a @ r)
+    return out.reshape(responses.shape[:-1] + (len(z_grid),))

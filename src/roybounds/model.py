@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import norm
 
 from .errors import DomainError, InvalidDgpError, InvalidUtilityError
 
@@ -271,6 +269,8 @@ def cost_from_utilities(pair: SectorUtilityPair, y: float, z: float,
     DomainError
         if no bracket containing the root can be found.
     """
+    from scipy import optimize
+
     y = float(y)
     z = float(z)
     target = float(pair.u1(y, z))
@@ -467,6 +467,8 @@ class DgpSpec:
             top = self.shifted_income(cap, z)
             return np.where(v > top, np.inf, out)
         # custom: bracketed root-finding per point
+        from scipy import optimize
+
         def inv_one(vv: float, zz: float) -> float:
             if vv <= 0:
                 return 0.0 if vv == 0 else -np.inf
@@ -587,6 +589,8 @@ def _lognormal_moment(mu, sigma, k: int, log_cap: float = math.inf):
     base = np.exp(k * mu + 0.5 * (k * sigma) ** 2)
     if not math.isfinite(log_cap):
         return base
+    from scipy.stats import norm
+
     a = (log_cap - mu) / sigma
     return base * norm.cdf(a - k * sigma) / norm.cdf(a)
 

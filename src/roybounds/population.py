@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.stats import norm
 
 from .errors import DomainError
 from .estimation import ConditionalCdfTable
@@ -52,6 +50,9 @@ def _pure_roy_degenerate(dgp: DgpSpec) -> bool:
 def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray,
                       nodes: int) -> tuple:
     """(F, F0, F1, p) at one z for a perfect-foresight DGP."""
+    from scipy.integrate import cumulative_simpson
+    from scipy.stats import norm
+
     mu0, mu1, s0, s1, r = *_params_at(dgp, z), dgp.outcome_corr
     if abs(r) >= 1.0:
         raise DomainError("population tables need |outcome_corr| < 1 "
@@ -98,6 +99,8 @@ def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray,
 
 def population_tables(dgp: DgpSpec, grid: EvaluationGrid, nodes: int = _NODES) -> ConditionalCdfTable:
     """Analytic observable tables (F, F0, F1, p) of a DGP on a grid."""
+    from scipy.stats import norm
+
     ny, nz = grid.shape
     if np.any(grid.y <= 0):
         raise DomainError("lognormal DGPs need a positive y grid")
@@ -137,6 +140,8 @@ def population_tables(dgp: DgpSpec, grid: EvaluationGrid, nodes: int = _NODES) -
 
 
 def _truncated_normal_cdf(x: np.ndarray, mu: float, sigma: float, cap: float) -> np.ndarray:
+    from scipy.stats import norm
+
     if not math.isfinite(cap):
         return norm.cdf((x - mu) / sigma)
     a = (cap - mu) / sigma
@@ -146,6 +151,9 @@ def _truncated_normal_cdf(x: np.ndarray, mu: float, sigma: float, cap: float) ->
 def lower_orthant_table(dgp: DgpSpec, a_grid: np.ndarray, b_grid: np.ndarray,
                         z: float, nodes: int = 4001) -> np.ndarray:
     """P(Y0 <= a, Y1 - C(Y1, z) <= b | z) over an (a, b) grid at one z."""
+    from scipy.integrate import cumulative_simpson
+    from scipy.stats import norm
+
     a_grid = np.asarray(a_grid, dtype=float)
     b_grid = np.asarray(b_grid, dtype=float)
     mu0, mu1, s0, s1, r = *_params_at(dgp, float(z)), dgp.outcome_corr

@@ -62,6 +62,24 @@ def test_bad_alpha_is_config_error(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("key", ["bandwidth", "epsilon", "crossing_tol"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_non_finite_tuning_values_are_config_errors(tmp_path, capsys, form, key, value):
+    sample = _simulated(tmp_path, n=400)
+    capsys.readouterr()
+    flag = "--" + key.replace("_", "-")
+    source = ([flag, str(value)] if form == "flag"
+              else ["--config", _config_file(tmp_path, **{key: value})])
+    out = tmp_path / "band.csv"
+    code = main(["infer", "--input", sample, "--output", str(out),
+                 "--bootstrap", "50", *source])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:]} must be") and err.count("\n") == 1
+    assert "finite" in err and not out.exists()
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"alfa": 0.05}))

@@ -61,8 +61,11 @@ def test_no_support_raises():
 
 
 def test_conditional_mean_rejects_misaligned_responses(quasi_sample):
-    with pytest.raises(DomainError, match="align"):
-        conditional_mean(quasi_sample, np.ones(quasi_sample.n - 1), [0.5], 0.2)
+    n = quasi_sample.n
+    # one vector or a (k, n) stack of them; anything else is misaligned
+    for shape in [(n - 1,), (3, n - 1), (2, 2, n), ()]:
+        with pytest.raises(DomainError, match="align"):
+            conditional_mean(quasi_sample, np.ones(shape), [0.5], 0.2)
 
 
 def test_tables_additivity(quasi_sample, small_grid):

@@ -1,7 +1,11 @@
-"""Every name a module imports is used in that module, and every top-level
-function and class is used by the package or by a script."""
+"""Every name a module imports is used in that module, every top-level
+function and class is used by the package or by a script, and the CLI runs
+its commands without importing scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,37 @@ def test_every_definition_has_a_caller():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert sorted(defined - used - set(UNREFERENCED)) == []
     assert sorted(set(UNREFERENCED) - defined) == []
+
+
+# simulate (both designs), estimate, bounds --mode all and infer at toy sizes;
+# prints the scipy modules the interpreter has loaded
+_CLI_RUNS = """
+import json, sys
+import roybounds
+import roybounds.cli as cli
+from roybounds.model import DgpSpec
+shape = dict(mu0=(0.0, 0.3), mu1=(0.2, 0.5), sigma0=0.6, sigma1=0.7)
+designs = {"quasi": DgpSpec.quasi_linear(g0=(1.5, -0.8), g1=(0.3, 0.0), **shape),
+           "mult": DgpSpec.multiplicative(g0=(1.0, 0.0), g1=(0.6, 0.2), **shape)}
+for name, dgp in designs.items():
+    with open(name + ".json", "w") as handle:
+        json.dump({"dgp": dgp.to_json()}, handle)
+    sample = ["--input", name + ".csv"]
+    for args in (["simulate", "--config", name + ".json", "--n", "400",
+                  "--output", name + ".csv"],
+                 ["estimate", *sample, "--output", name + ".tables.csv"],
+                 ["bounds", "--mode", "all", *sample, "--output", name + ".bounds.csv"],
+                 ["infer", "--bootstrap", "50", *sample, "--output", name + ".band.csv"]):
+        assert cli.main(args + ["--grid-y", "10", "--grid-z", "3"]) == 0, args
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_cli_commands_import_no_scipy(tmp_path):
+    # only coverage, the population tables and custom costs need scipy
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", _CLI_RUNS],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -160,6 +160,20 @@ def test_cost_from_utilities_isoelastic_root():
     assert c_root == pytest.approx(true_cost(dgp, y, z), abs=1e-7)
 
 
+def test_quadratic_outcome_moments_are_truncated_lognormal():
+    # income cap 1 / (2 max(eta0, eta1)) = 1.25 cuts the margins near their median
+    dgp = DgpSpec.quadratic(mu0=(0.0, 0.2), mu1=0.1, sigma0=0.4, sigma1=0.5,
+                            eta0=0.4, eta1=0.35, f=0.7)
+    log_cap = np.log(dgp.support_cap())
+    for d, z, power in [(0, 0.3, 1), (1, 0.3, 1), (1, 0.8, 2)]:
+        mu = (0.2 * z) if d == 0 else 0.1
+        s = 0.4 if d == 0 else 0.5
+        x = np.linspace(mu - 12.0 * s, log_cap, 200_001)
+        dens = np.exp(-0.5 * ((x - mu) / s) ** 2)
+        want = np.trapezoid(np.exp(power * x) * dens, x) / np.trapezoid(dens, x)
+        assert dgp.outcome_mean(d, z, power) == pytest.approx(want, rel=1e-8)
+
+
 # -- sampling -----------------------------------------------------------------
 
 def test_generate_sample_deterministic(quasi_dgp):

@@ -213,10 +213,13 @@ def test_bootstrap_draws_equal_the_resampling_path():
 def _check_means(sample, z_grid, h):
     d = sample.d.astype(float)
     b_low = sample.lower_support_bound
-    for r in (sample.y, d, sample.y * (1.0 - d) + b_low * d):
-        want = np.array([float(_reference_weights(sample.z, float(z0), h) @ r)
-                         for z0 in z_grid])
-        assert conditional_mean(sample, r, z_grid, h).tobytes() == want.tobytes()
+    # the three imperfect-foresight responses, one at a time and as one stack
+    stack = np.array([sample.y, sample.y * (1.0 - d) + b_low * d, d])
+    want = np.array([[float(_reference_weights(sample.z, float(z0), h) @ r)
+                      for z0 in z_grid] for r in stack])
+    assert conditional_mean(sample, stack, z_grid, h).tobytes() == want.tobytes()
+    for r, row in zip(stack, want):
+        assert conditional_mean(sample, r, z_grid, h).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("n,seed,h", [(2000, 2, 0.2), (500, 3, 0.1),
