@@ -208,13 +208,6 @@ class RandomCostCdfBounds:
     p_tol: float
 
 
-def _step_eval(grid: np.ndarray, vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Right-continuous step read-off; 0 below the first grid point."""
-    idx = np.searchsorted(grid, t, side="right")
-    out = vals[np.maximum(idx - 1, 0)]
-    return np.where(idx > 0, out, 0.0)
-
-
 def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
                        lower_support_bound: float = 0.0,
                        p_tol: float | None = None) -> RandomCostCdfBounds:
@@ -237,20 +230,22 @@ def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
     FL = np.full((cost_grid.size, nz), np.nan)
     FU = np.full((cost_grid.size, nz), np.nan)
     identified = table.p > p_tol
+    c = cost_grid[:, None]
+    t = np.concatenate([np.broadcast_to(y, (c.size, y.size)), y + c], axis=1)
+    # right-continuous step read-offs: index k > 0 is grid point k - 1, 0 is below
+    at_t = np.searchsorted(y, t, side="right")
+    at_shift = np.searchsorted(y, t - c, side="right")
     for iz in np.flatnonzero(identified):
         p = table.p[iz]
         cond = np.clip(table.F1[:, iz] / p, 0.0, 1.0)
         low = np.clip((env.Flow[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
         high = np.clip((env.Fhigh[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
         # running max keeps low <= high since both pass through the same map
-        cond = np.maximum.accumulate(cond)
-        low = np.maximum.accumulate(low)
-        high = np.maximum.accumulate(high)
-        for ic, c in enumerate(cost_grid):
-            t = np.concatenate([y, y + c])
-            a = _step_eval(y, cond, t)
-            FL[ic, iz] = max(0.0, float(np.max(a - _step_eval(y, high, t - c))))
-            FU[ic, iz] = 1.0 + min(0.0, float(np.min(a - _step_eval(y, low, t - c))))
+        cond, low, high = (np.concatenate([[0.0], np.maximum.accumulate(v)])
+                           for v in (cond, low, high))
+        # fmax/fmin give 0.0 for a zero or NaN extreme, as Python's max/min did
+        FL[:, iz] = np.fmax(0.0, np.max(cond[at_t] - high[at_shift], axis=1))
+        FU[:, iz] = 1.0 + np.fmin(0.0, np.min(cond[at_t] - low[at_shift], axis=1))
     return RandomCostCdfBounds(cost_grid=cost_grid, z_grid=table.grid.z,
                                FL=FL, FU=FU, identified_z=identified, p_tol=p_tol)
 

@@ -42,6 +42,11 @@ from .reporting import (
     write_table_csv,
 )
 
+# the types a numeric field's config value may have (bool is no number here)
+_NUMERIC = {"int": (int,), "int | None": (int, type(None)),
+            "float": (int, float), "float | None": (int, float, type(None))}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -71,6 +76,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.output is None:
             raise ConfigError("an --output path is required")
+        for f in fields(self):  # config-file values arrive untyped
+            value, kinds = getattr(self, f.name), _NUMERIC.get(f.type, ())
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                noun = "a number" if float in kinds else "an integer"
+                raise ConfigError(f"config value {f.name} must be {noun}, got {value!r}")
         if not 0.0 < self.alpha <= 0.5:
             raise ConfigError(f"alpha must lie in (0, 0.5], got {self.alpha}")
         if self.bootstrap < 50:
@@ -79,13 +89,12 @@ class RunConfig:
             raise ConfigError("grid-y must be at least 2")
         if self.grid_z < 1:
             raise ConfigError("grid-z must be at least 1")
-        # the chained comparisons are false for NaN
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
-            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-        if self.epsilon is not None and not 0.0 <= self.epsilon < np.inf:
-            raise ConfigError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
-        if self.crossing_tol is not None and not 0.0 <= self.crossing_tol < np.inf:
-            raise ConfigError(f"crossing-tol must be nonnegative and finite, got {self.crossing_tol}")
+        for key, sign in (("bandwidth", "positive"), ("epsilon", "nonnegative"),
+                          ("crossing_tol", "nonnegative"), ("cost_max", "positive")):
+            value = getattr(self, key)  # each comparison is false for NaN
+            if value is not None and not (value < np.inf and (
+                    value > 0.0 or value == 0.0 and sign == "nonnegative")):
+                raise ConfigError(f"{key.replace('_', '-')} must be {sign} and finite, got {value}")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
         if self.reps < 1:
@@ -141,9 +150,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = file_values[key]
         else:
             merged[key] = default
-    config = RunConfig(command=args.command, **merged)
-    config.validate()
-    return config
+    return RunConfig(command=args.command, **merged)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -82,70 +82,79 @@ def write_json_sidecar(csv_path, artifact: str, data: dict, config=None) -> Path
     return path
 
 
+def _is_record(line: str) -> bool:
+    """Not blank, not a comment (first cell starting with '#'); quotes close."""
+    if '"' in line and len(rows := list(csv.reader([line, ""]))) == 1:
+        raise DomainError(f"a quoted cell is not closed on its line: {line!r}")
+    return bool(line) and (rows[0][0] if '"' in line else line).lstrip()[:1] != "#"
+
+
 def ingest_csv(path) -> ObservationSample:
     """Parse an observation file with columns y, d, z (case-insensitive).
 
-    An optional b_lower column sets the file-level support bound and must
-    be constant.  Diagnostics name the physical line of the offending row.
+    One C-level parse of the needed columns, checked as whole columns; only
+    a failed check scans the rows, to name the physical line.  An optional
+    b_lower column sets the file-level support bound and must be constant.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = None
-        cols = {}
-        rows_y, rows_d, rows_z, rows_b, lines = [], [], [], [], []
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in row]
-                cols = {name: k for k, name in enumerate(header)}
-                missing = [c for c in ("y", "d", "z") if c not in cols]
-                if missing:
-                    raise DomainError(f"missing column(s): {', '.join(missing)}")
-                continue
-            line = reader.line_num
-
-            def cell(name):
-                k = cols[name]
-                if k >= len(row):
-                    raise DomainError(f"row {line}: missing value for column {name!r}")
-                try:
-                    value = parse_float(row[k])
-                except ValueError:
-                    value = math.nan
-                if math.isnan(value):  # parse_float reads an empty cell as nan
-                    raise DomainError(
-                        f"row {line}: column {name!r} is not numeric: {row[k]!r}")
-                return value
-
-            yv, dv, zv = cell("y"), cell("d"), cell("z")
-            if dv not in (0.0, 1.0):
-                raise DomainError(f"row {line}: d must be 0 or 1, got {row[cols['d']]!r}")
-            if not (math.isfinite(yv) and math.isfinite(zv)):
-                raise DomainError(f"row {line}: y and z must be finite")
-            rows_y.append(yv)
-            rows_d.append(dv)
-            rows_z.append(zv)
-            lines.append(line)
-            if "b_lower" in cols:
-                bv = cell("b_lower")
-                rows_b.append(bv)
-                if bv != rows_b[0]:
-                    raise DomainError(
-                        f"row {line}: b_lower must be constant across the file")
-    if header is None:
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    records = list(filter(_is_record, lines))
+    if not records:
         raise DomainError("empty file: no header row")
-    if not rows_y:
+    cols = {c.strip().lower(): k for k, c in enumerate(next(csv.reader(records[:1])))}
+    missing = [c for c in ("y", "d", "z") if c not in cols]
+    if missing:
+        raise DomainError(f"missing column(s): {', '.join(missing)}")
+    if len(records) == 1:
         raise DomainError("no data rows")
-    b_low = rows_b[0] if rows_b else 0.0
-    y = np.array(rows_y)
+    try:
+        values = np.loadtxt(records[1:], delimiter=",", quotechar='"', comments=None,
+                            usecols=[cols[c] for c in ("y", "d", "z", "b_lower") if c in cols],
+                            dtype=float, ndmin=2)
+    except ValueError as exc:
+        _raise_first_bad_row(lines, cols, exc)
+    y, d, z, *b = np.ascontiguousarray(values.T)
+    b_low = float(b[0][0]) if b else 0.0
+    if not (np.isfinite(values[:, [0, 2]]).all() and np.isin(d, (0.0, 1.0)).all()
+            and (values[:, 3:] == b_low).all()):
+        _raise_first_bad_row(lines, cols, None)
     below = np.flatnonzero(y < b_low - 1e-12)
     if below.size:
-        raise DomainError(
-            f"{below.size} row(s) have y below the support bound {b_low!r}, "
-            f"first at row {lines[below[0]]}")
-    return ObservationSample(y=y, d=np.array(rows_d), z=np.array(rows_z),
-                             lower_support_bound=float(b_low))
+        numbers = [k for k, line in enumerate(lines, 1) if _is_record(line)]
+        raise DomainError(f"{below.size} row(s) have y below the support bound "
+                          f"{b_low!r}, first at row {numbers[1 + below[0]]}")
+    return ObservationSample(y=y, d=d, z=z, lower_support_bound=b_low)
+
+
+def _cell(row, name, k, number) -> float:
+    # read as the C reader reads it: float() without '_' or non-ASCII
+    if k >= len(row):
+        raise DomainError(f"row {number}: missing value for column {name!r}")
+    try:
+        text = row[k].strip()
+        if text.isascii() and "_" not in text and not math.isnan(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise DomainError(f"row {number}: column {name!r} is not numeric: {row[k]!r}")
+
+
+def _raise_first_bad_row(lines, cols, error) -> None:
+    """Raise the diagnostic of the first data record that fails a row check."""
+    b_first = None
+    for number, line in [(k, s) for k, s in enumerate(lines, 1) if _is_record(s)][1:]:
+        row = next(csv.reader([line]))
+        y, d, z = (_cell(row, c, cols[c], number) for c in "ydz")
+        if d not in (0.0, 1.0):
+            raise DomainError(f"row {number}: d must be 0 or 1, got {row[cols['d']]!r}")
+        if not (math.isfinite(y) and math.isfinite(z)):
+            raise DomainError(f"row {number}: y and z must be finite")
+        if "b_lower" in cols:
+            b = _cell(row, "b_lower", cols["b_lower"], number)
+            b_first = b if b_first is None else b_first
+            if b != b_first:
+                raise DomainError(f"row {number}: b_lower must be constant across the file")
+    raise DomainError(f"unreadable data rows: {error}")
 
 
 def write_sample_csv(sample: ObservationSample, path, config=None) -> None:

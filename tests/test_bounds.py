@@ -329,3 +329,43 @@ def test_makarov_fl_below_fu_random_tables(seed):
     rc = random_cost_bounds(t, np.linspace(0, 4, 9))
     ok = rc.identified_z
     assert np.all(rc.FL[:, ok] <= rc.FU[:, ok] + 1e-12)
+
+
+def _reference_random_cost_bounds(table, cost_grid, lower_support_bound):
+    """The per-cost loop that random_cost_bounds replaced: (FL, FU)."""
+    from roybounds import envelope_table
+
+    def step(grid, vals, t):
+        idx = np.searchsorted(grid, t, side="right")
+        return np.where(idx > 0, vals[np.maximum(idx - 1, 0)], 0.0)
+
+    env = envelope_table(table, lower_support_bound)
+    y = table.grid.y
+    FL = np.full((cost_grid.size, table.grid.z.size), np.nan)
+    FU = FL.copy()
+    for iz in np.flatnonzero(table.p > table.identification_tol()):
+        p = table.p[iz]
+        cond = np.clip(table.F1[:, iz] / p, 0.0, 1.0)
+        low = np.clip((env.Flow[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
+        high = np.clip((env.Fhigh[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
+        cond, low, high = (np.maximum.accumulate(v) for v in (cond, low, high))
+        for ic, c in enumerate(cost_grid):
+            t = np.concatenate([y, y + c])
+            a = step(y, cond, t)
+            FL[ic, iz] = max(0.0, float(np.max(a - step(y, high, t - c))))
+            FU[ic, iz] = 1.0 + min(0.0, float(np.min(a - step(y, low, t - c))))
+    return FL, FU
+
+
+@pytest.mark.parametrize("family", ["quasi", "mult"])
+def test_random_cost_bounds_match_the_per_cost_loop(quasi_dgp, family):
+    from roybounds import DgpSpec
+
+    dgp = quasi_dgp if family == "quasi" else DgpSpec.multiplicative(
+        mu0=(0.0, 0.3), mu1=(0.2, 0.5), sigma0=0.6, sigma1=0.7, g0=(0.4, -0.3), g1=(0.1, 0.0))
+    s = generate_sample(dgp, 3000, seed=5)
+    t = estimate_tables(s, EvaluationGrid.from_sample(s, 30, 5))
+    cost_grid = np.concatenate([np.linspace(0.0, 3.0, 41), [-0.5, 1e-9, 10.0]])
+    rc = random_cost_bounds(t, cost_grid, s.lower_support_bound)
+    FL, FU = _reference_random_cost_bounds(t, cost_grid, s.lower_support_bound)
+    assert rc.FL.tobytes() == FL.tobytes() and rc.FU.tobytes() == FU.tobytes()

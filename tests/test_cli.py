@@ -80,6 +80,50 @@ def test_non_finite_tuning_values_are_config_errors(tmp_path, capsys, form, key,
     assert "finite" in err and not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_bad_cost_max_is_a_config_error(tmp_path, capsys, form, value):
+    sample = _simulated(tmp_path, n=400)
+    capsys.readouterr()
+    source = (["--cost-max", value] if form == "flag"
+              else ["--config", _config_file(tmp_path, cost_max=float(value))])
+    out = tmp_path / "rc.csv"
+    code = main(["bounds", "--mode", "random", "--input", sample, "--output", str(out),
+                 "--grid-y", "20", "--grid-z", "4", *source])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cost-max must be positive and finite")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("infer", "bandwidth", "abc"), ("infer", "alpha", "0.1"), ("infer", "epsilon", "0"),
+    ("bounds", "grid_y", "20"), ("bounds", "cost_points", "5"), ("bounds", "grid_y", 20.5),
+    ("infer", "bootstrap", 50.5), ("infer", "seed", "1"), ("bounds", "cost_max", "x"),
+    ("bounds", "grid_z", True), ("infer", "alpha", None), ("bounds", "crossing_tol", [0.1]),
+])
+def test_non_numeric_config_values_are_config_errors(tmp_path, capsys, command, key, value):
+    sample = _simulated(tmp_path, n=400)
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    code = main([command, "--input", sample, "--output", str(out),
+                 "--config", _config_file(tmp_path, **{key: value})])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config value {key} must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_numeric_config_values_accept_json_numbers(tmp_path):
+    sample = _simulated(tmp_path, n=400)
+    out = tmp_path / "rc.csv"
+    config = _config_file(tmp_path, cost_max=2, alpha=0.1, grid_y=20, grid_z=4,
+                          cost_points=5, seed=3, workers=None)
+    assert main(["bounds", "--mode", "random", "--input", sample, "--output", str(out),
+                 "--config", config]) == 0
+    assert np.unique(read_long_csv(out)[0]["c"]).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"alfa": 0.05}))

@@ -1,10 +1,13 @@
 """Artifact round trips, ingestion diagnostics, survival summaries."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from roybounds import (
     ConditionalCdfTable,
@@ -117,6 +120,176 @@ def test_ingest_empty_and_header_only(tmp_path):
         ingest_csv(_write(tmp_path / "a.csv", ""))
     with pytest.raises(DomainError, match="no data"):
         ingest_csv(_write(tmp_path / "b.csv", "y,d,z\n"))
+
+
+# Accepted files: (text, y, d, z, lower support bound), as the csv-module
+# reader this one replaced read them.
+_ACCEPTED = {
+    "crlf": ("y,d,z\r\n1.5,1,0.2\r\n2.0,0,0.4\r\n", [1.5, 2.0], [1, 0], [0.2, 0.4], 0.0),
+    "cr-only": ("y,d,z\r1.5,1,0.2\r2.0,0,0.4\r", [1.5, 2.0], [1, 0], [0.2, 0.4], 0.0),
+    "comment-between-rows": ("y,d,z\n1.5,1,0.2\n# note, 1\n  # x\n2.0,0,0.4\n",
+                             [1.5, 2.0], [1, 0], [0.2, 0.4], 0.0),
+    "blank-between-rows": ("y,d,z\n1.5,1,0.2\n\n2.0,0,0.4\n\n",
+                           [1.5, 2.0], [1, 0], [0.2, 0.4], 0.0),
+    "padded": (" Y , D ,z\t\n 1.5 , 1 ,\t0.2 \n", [1.5], [1], [0.2], 0.0),
+    "quoted": ('"y",d,z\n"1.5","1","0.2" \n"#1",0,0.4\n', [1.5], [1], [0.2], 0.0),
+    "extra-columns": ("y,d,z,note,w\n1.5,1,0.2,text,\n2.0,0,0.4,\"a,b\",1\n",
+                      [1.5, 2.0], [1, 0], [0.2, 0.4], 0.0),
+    "trailing-comma": ("y,d,z,\n1.5,1,0.2,\n", [1.5], [1], [0.2], 0.0),
+    "duplicated-y": ("y,d,z,y\n1.5,1,0.2,2.5\n", [2.5], [1], [0.2], 0.0),
+    "d-spellings": ("y,d,z\n1.5,1.0,0.2\n2.0,0e0,0.4\n", [1.5, 2.0], [1, 0], [0.2, 0.4], 0.0),
+    "one-row": ("y,d,z\n1e-3,0,-0.1\n", [0.001], [0], [-0.1], 0.0),
+    "config-lines": ('# config: {"a": 1, "b": [1, 2]}\n# config: x\ny,d,z,b_lower\n'
+                     "1.5,1,0.2,0.5\n2.0,0,0.4,0.5\n", [1.5, 2.0], [1, 0], [0.2, 0.4], 0.5),
+    "number-spellings": ("y,d,z\n+1.5E0,1,.2\n2.,-0,4e-1\n", [1.5, 2.0], [1, 0],
+                         [0.2, 0.4], 0.0),
+}
+
+# Rejected files: (text, message), again as the replaced reader gave them.
+_REJECTED = {
+    "short-row": ("y,d,z\n1.5,1,0.2\n2.0,0\n", "row 3: missing value for column 'z'"),
+    "nan-y": ("y,d,z\n1.5,1,0.2\nnan,0,0.4\n", "row 3: column 'y' is not numeric: 'nan'"),
+    "empty-cell": ("y,d,z\n,1,0.2\n", "row 2: column 'y' is not numeric: ''"),
+    "spaces-line": ("y,d,z\n1.5,1,0.2\n   \n", "row 3: column 'y' is not numeric: '   '"),
+    "inline-comment": ("y,d,z\n1.5,1,0.2 # c\n", "row 2: column 'z' is not numeric: '0.2 # c'"),
+    "inf-z": ("y,d,z\n1.5,1,inf\n", "row 2: y and z must be finite"),
+    "d-half": ("y,d,z\n1.5,0.5,0.2\n", "row 2: d must be 0 or 1, got '0.5'"),
+    "blank-b-lower": ("y,d,z,b_lower\n1.5,1,0.2,0.5\n2.0,0,0.4,\n",
+                      "row 3: column 'b_lower' is not numeric: ''"),
+    "inconstant-b-lower": ("y,d,z,b_lower\n1.5,1,0.2,0.5\n2.0,0,0.4,0.25\n",
+                           "row 3: b_lower must be constant across the file"),
+    "below-bound": ("y,d,z,b_lower\n1.5,1,0.2,1.0\n0.5,0,0.4,1.0\n0.7,1,0.4,1.0\n",
+                    "2 row(s) have y below the support bound 1.0, first at row 3"),
+    "physical-line": ("# c\r\n\r\ny,d,z\r\n1.5,1,0.2\r\n\r\n# x\r\n1.5,2,0.2\r\n",
+                      "row 7: d must be 0 or 1, got '2'"),
+    "first-bad-row-wins": ("y,d,z\n1.5,0.5,0.2\nabc,1,0.2\n",
+                           "row 2: d must be 0 or 1, got '0.5'"),
+    "parse-error-first": ("y,d,z\nabc,1,0.2\n1.5,0.5,0.2\n",
+                          "row 2: column 'y' is not numeric: 'abc'"),
+    "d-before-b-lower": ("y,d,z,b_lower\n1.5,0.5,0.2,\n", "row 2: d must be 0 or 1, got '0.5'"),
+    "missing-column": ("y,d\n1.5,1\n", "missing column(s): z"),
+    "header-only": ("# c\ny,d,z\n\n", "no data rows"),
+    "comments-only": ("# c\n\n", "empty file: no header row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ACCEPTED))
+def test_ingest_accepts(tmp_path, case):
+    text, y, d, z, bound = _ACCEPTED[case]
+    (tmp_path / "s.csv").write_bytes(text.encode())
+    s = ingest_csv(tmp_path / "s.csv")
+    assert s.y.tolist() == y and s.d.tolist() == d and s.z.tolist() == z
+    assert s.lower_support_bound == bound
+    assert (s.y.dtype, s.d.dtype, s.z.dtype) == (np.float64, np.int8, np.float64)
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_ingest_rejects(tmp_path, case):
+    text, message = _REJECTED[case]
+    (tmp_path / "s.csv").write_bytes(text.encode())
+    with pytest.raises(DomainError) as info:
+        ingest_csv(tmp_path / "s.csv")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y,d,z\n1_000,1,0.2\n", "row 2: column 'y' is not numeric: '1_000'"),
+    ("y,d,z\n1.5,1,٠.5\n", "row 2: column 'z' is not numeric: '٠.5'"),
+    ('y,d,z,note\n1.5,1,0.2,"a\nb"\n',
+     "a quoted cell is not closed on its line: '1.5,1,0.2,\"a'"),
+    ('y,d,z\n1.5,1,"0.2\n# c\n', "a quoted cell is not closed on its line: '1.5,1,\"0.2'"),
+], ids=["digit-separator", "non-ascii-digit", "quoted-line-break", "unclosed-quote"])
+def test_ingest_rejects_what_the_c_reader_cannot_read(tmp_path, text, message):
+    # float() accepts '1_000' and non-ASCII digits, and the csv module let a
+    # quoted cell run over line ends; the columnar reader takes neither
+    (tmp_path / "s.csv").write_bytes(text.encode())
+    with pytest.raises(DomainError) as info:
+        ingest_csv(tmp_path / "s.csv")
+    assert str(info.value) == message
+
+
+def _reference_ingest(path):
+    """The csv-module reader the columnar one replaced, cell by cell.
+
+    Returns (y, d, z, bound) or the DomainError message.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header, rows = None, []
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = {c.strip().lower(): k for k, c in enumerate(row)}
+                missing = [c for c in ("y", "d", "z") if c not in header]
+                if missing:
+                    return f"missing column(s): {', '.join(missing)}"
+                continue
+            line, values = reader.line_num, {}
+            for name in [c for c in ("y", "d", "z", "b_lower") if c in header]:
+                if name == "b_lower":
+                    if values["d"] not in (0.0, 1.0):
+                        return f"row {line}: d must be 0 or 1, got {row[header['d']]!r}"
+                    if not (math.isfinite(values["y"]) and math.isfinite(values["z"])):
+                        return f"row {line}: y and z must be finite"
+                k = header[name]
+                if k >= len(row):
+                    return f"row {line}: missing value for column {name!r}"
+                try:
+                    values[name] = parse_float(row[k])
+                except ValueError:
+                    values[name] = math.nan
+                if math.isnan(values[name]):
+                    return f"row {line}: column {name!r} is not numeric: {row[k]!r}"
+            if values["d"] not in (0.0, 1.0):
+                return f"row {line}: d must be 0 or 1, got {row[header['d']]!r}"
+            if not (math.isfinite(values["y"]) and math.isfinite(values["z"])):
+                return f"row {line}: y and z must be finite"
+            if rows and values.get("b_lower", 0.0) != rows[0][3]:
+                return f"row {line}: b_lower must be constant across the file"
+            rows.append((values["y"], values["d"], values["z"], values.get("b_lower", 0.0), line))
+    if header is None:
+        return "empty file: no header row"
+    if not rows:
+        return "no data rows"
+    y, d, z, b, lines = (list(c) for c in zip(*rows))
+    below = [k for k, v in enumerate(y) if v < b[0] - 1e-12]
+    if below:
+        return (f"{len(below)} row(s) have y below the support bound {b[0]!r}, "
+                f"first at row {lines[below[0]]}")
+    try:  # a bound of -inf passes the row checks but not the sample's own
+        ObservationSample(y=np.array(y), d=np.array(d), z=np.array(z), lower_support_bound=b[0])
+    except DomainError as exc:
+        return str(exc)
+    return y, d, z, b[0]
+
+
+_CELLS = ["1.5", "2", "0", "1", "0.25", '"0.5"', " 1 ", "", "nan", "inf", "-inf", "0e0",
+          "1.0", "-3", "1e400", "abc", '"', '1"5', '"1"5', "#", " #x", "\t", "\x0c2",
+          "\xa01", "2.", ".", "+1", "Infinity", '""']
+_HEADERS = ["y,d,z", "Z, y ,D", "y,d,z,b_lower", "b_lower,y,d,z,w", "y,y,d,z", '"y",d,"z"',
+            "y,d"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from(_HEADERS),
+       rows=st.lists(st.lists(st.sampled_from(_CELLS), min_size=0, max_size=6), max_size=6),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]), end=st.booleans())
+def test_ingest_matches_the_csv_module_reader(tmp_path_factory, header, rows, newline, end):
+    lines = [header] + [",".join(cells) for cells in rows]
+    # a quoted cell left open at a line end is rejected now (see above)
+    assume(all(len(list(csv.reader([line, ""]))) == 2 for line in lines if '"' in line))
+    path = tmp_path_factory.mktemp("fuzz") / "s.csv"
+    path.write_bytes((newline.join(lines) + (newline if end else "")).encode())
+    expected = _reference_ingest(path)
+    try:
+        s = ingest_csv(path)
+    except DomainError as exc:
+        assert str(exc) == expected
+    else:
+        y, d, z, bound = expected
+        assert s.y.tobytes() == np.array(y).tobytes() and s.z.tobytes() == np.array(z).tobytes()
+        assert s.d.tolist() == d and s.lower_support_bound == bound
 
 
 def test_sample_round_trip_bit_exact(tmp_path, quasi_dgp):
