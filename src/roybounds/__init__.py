@@ -15,9 +15,7 @@ from .bounds import (
     cost_bounds_if,
     cost_bounds_pf,
     if_bounds_from_moments,
-    lower_bound_interpolator,
     random_cost_bounds,
-    resimulate_sample,
     testability_if,
 )
 from .coverage import CoverageReport, default_coverage_grid, run_coverage
@@ -27,7 +25,6 @@ from .envelopes import (
     SandwichTable,
     crossing_test,
     envelope_table,
-    generalized_inverse,
     lower_envelope,
     sandwich,
     upper_envelope,
@@ -36,7 +33,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InvalidDgpError,
-    InvalidUtilityError,
     NoSupportError,
     RoyBoundsError,
 )
@@ -59,23 +55,16 @@ from .model import (
     DgpSpec,
     EvaluationGrid,
     ObservationSample,
-    SectorUtilityPair,
-    SmivReport,
     ZLaw,
-    check_smiv,
-    check_smiv_data,
-    cost_from_utilities,
     generate_sample,
     true_cost,
-    utility_pair,
 )
-from .population import check_smiv_dgp, lower_orthant_table, population_tables
+from .population import population_tables
 from .reporting import (
     SurvivalSummary,
     band_values_at,
     cost_survival,
     ingest_csv,
-    read_long_csv,
     write_band_csv,
     write_sample_csv,
     write_surface_csv,
@@ -87,24 +76,21 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundSurface", "IfBoundCurve", "RandomCostCdfBounds", "TestabilityReport",
     "cost_bounds_if", "cost_bounds_pf", "if_bounds_from_moments",
-    "lower_bound_interpolator", "random_cost_bounds", "resimulate_sample",
-    "testability_if",
+    "random_cost_bounds", "testability_if",
     "CoverageReport", "default_coverage_grid", "run_coverage",
     "CrossingReport", "EnvelopeTable", "SandwichTable", "crossing_test",
-    "envelope_table", "generalized_inverse", "lower_envelope", "sandwich",
-    "upper_envelope",
-    "ConfigError", "DomainError", "InvalidDgpError", "InvalidUtilityError",
-    "NoSupportError", "RoyBoundsError",
+    "envelope_table", "lower_envelope", "sandwich", "upper_envelope",
+    "ConfigError", "DomainError", "InvalidDgpError", "NoSupportError",
+    "RoyBoundsError",
     "ConditionalCdfTable", "conditional_mean", "estimate_tables",
     "silverman_bandwidth",
     "ConfidenceBand", "bootstrap_errors", "clr_band", "confidence_band",
     "default_epsilon", "default_selection_subset", "monotonize_eps",
-    "DgpSpec", "EvaluationGrid", "ObservationSample", "SectorUtilityPair",
-    "SmivReport", "ZLaw", "check_smiv", "check_smiv_data",
-    "cost_from_utilities", "generate_sample", "true_cost", "utility_pair",
-    "check_smiv_dgp", "lower_orthant_table", "population_tables",
+    "DgpSpec", "EvaluationGrid", "ObservationSample", "ZLaw",
+    "generate_sample", "true_cost",
+    "population_tables",
     "SurvivalSummary", "band_values_at", "cost_survival", "ingest_csv",
-    "read_long_csv", "write_band_csv", "write_sample_csv",
-    "write_surface_csv", "write_table_csv",
+    "write_band_csv", "write_sample_csv", "write_surface_csv",
+    "write_table_csv",
     "__version__",
 ]

@@ -52,7 +52,6 @@ class BoundSurface:
     crossing: CrossingReport
     sandwich_crossing: CrossingReport
     identification_tol: float
-    lower_support_bound: float = 0.0
 
     @property
     def rejected(self) -> bool:
@@ -104,8 +103,7 @@ def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
     return BoundSurface(grid=table.grid, Clow=Clow, Chigh=Chigh,
                         identified_mask=mask, crossing=report,
                         sandwich_crossing=sandwich_report,
-                        identification_tol=identification_tol,
-                        lower_support_bound=lower_support_bound)
+                        identification_tol=identification_tol)
 
 
 @dataclass(frozen=True)
@@ -119,12 +117,10 @@ class IfBoundCurve:
     m0b: np.ndarray
     p: np.ndarray
     p_tol: float
-    lower_support_bound: float = 0.0
     bandwidth: float | None = None
 
 
 def if_bounds_from_moments(z_grid, m, m0b, p, p_tol: float = 1e-6,
-                           lower_support_bound: float = 0.0,
                            bandwidth: float | None = None) -> IfBoundCurve:
     """Bounds from the moment vectors directly.
 
@@ -150,8 +146,7 @@ def if_bounds_from_moments(z_grid, m, m0b, p, p_tol: float = 1e-6,
     Chigh = np.full_like(m, np.inf)
     Chigh[positive] = (m[positive] - past_max[positive]) / p[positive]
     return IfBoundCurve(z_grid=z_grid, Clow=Clow, Chigh=Chigh, m=m, m0b=m0b,
-                        p=p, p_tol=p_tol, lower_support_bound=lower_support_bound,
-                        bandwidth=bandwidth)
+                        p=p, p_tol=p_tol, bandwidth=bandwidth)
 
 
 def cost_bounds_if(sample: ObservationSample, z_grid, bandwidth: float | None = None,
@@ -165,8 +160,7 @@ def cost_bounds_if(sample: ObservationSample, z_grid, bandwidth: float | None = 
     p = np.clip(p, 0.0, 1.0)
     if p_tol is None:
         p_tol = identification_tol(sample.n)
-    return if_bounds_from_moments(z_grid, m, m0b, p, p_tol=p_tol,
-                                  lower_support_bound=b_low, bandwidth=bandwidth)
+    return if_bounds_from_moments(z_grid, m, m0b, p, p_tol=p_tol, bandwidth=bandwidth)
 
 
 @dataclass(frozen=True)
@@ -248,67 +242,3 @@ def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
         FU[:, iz] = 1.0 + np.fmin(0.0, np.min(cond[at_t] - low[at_shift], axis=1))
     return RandomCostCdfBounds(cost_grid=cost_grid, z_grid=table.grid.z,
                                FL=FL, FU=FU, identified_z=identified, p_tol=p_tol)
-
-
-def lower_bound_interpolator(surface: BoundSurface):
-    """Callable (y, z) -> Clow, linear in y over identified cells, nearest z.
-
-    Columns with no identified cell fall back to zero cost (no claim is
-    made there, and zero keeps the shifted income map the identity).
-    """
-    y_grid = surface.grid.y
-    z_grid = surface.grid.z
-    columns = []
-    for iz in range(z_grid.size):
-        keep = surface.identified_mask[:, iz]
-        if np.any(keep):
-            columns.append((y_grid[keep], surface.Clow[keep, iz]))
-        else:
-            columns.append(None)
-
-    def evaluate(y, z):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        iz = np.argmin(np.abs(z[:, None] - z_grid[None, :]), axis=1)
-        out = np.zeros_like(y)
-        for col in np.unique(iz):
-            sel = iz == col
-            if columns[col] is not None:
-                knots, vals = columns[col]
-                out[sel] = np.interp(y[sel], knots, vals)
-        return out
-
-    return evaluate
-
-
-def resimulate_sample(sample: ObservationSample, surface: BoundSurface) -> ObservationSample:
-    """Rebuild observables under the lower-bound cost.
-
-    Potential outcomes are reconstructed record by record: the sector-0
-    value is y - d * Clow(y, z) and the sector-1 value inverts the shifted
-    income map m(y) = y - Clow(y, z) on the grid (so it lands on a grid
-    point; round-trip error is at most one grid step).  Sector choices are
-    kept: the reconstruction makes every record exactly indifferent, and
-    ties resolve to the observed sector.
-    """
-    cost_at = lower_bound_interpolator(surface)
-    y_grid = surface.grid.y
-    z_grid = surface.grid.z
-    v = sample.y - sample.d * cost_at(sample.y, sample.z)
-    y1 = np.empty_like(v)
-    iz = np.argmin(np.abs(sample.z[:, None] - z_grid[None, :]), axis=1)
-    for col in np.unique(iz):
-        sel = iz == col
-        keep = surface.identified_mask[:, col]
-        if np.any(keep):
-            knots = y_grid[keep]
-            # protect inversion against sub-tolerance wiggles in y - Clow
-            m = np.maximum.accumulate(knots - surface.Clow[keep, col])
-            idx = np.searchsorted(m, v[sel], side="right")
-            y1[sel] = knots[np.minimum(idx, knots.size - 1)]
-        else:
-            y1[sel] = v[sel]
-    y_new = np.where(sample.d == 1, y1, v)
-    b_low = min(sample.lower_support_bound, float(np.min(y_new)))
-    return ObservationSample(y=y_new, d=sample.d, z=sample.z,
-                             lower_support_bound=b_low)

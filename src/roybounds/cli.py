@@ -7,7 +7,9 @@ sidecar, both carrying the fully resolved configuration, so artifacts are
 reproducible from their own headers.
 
 Exit codes: 0 success, 1 configuration or data errors, 2 model rejection
-(the envelope crossing test fired on the estimated tables).
+(the envelope or sandwich crossing test fired on the estimated tables).  An
+exit 2 still writes every artifact, then prints one stderr line naming the
+check, its worst gap, the tolerance and the (y, z) of the worst cell.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ class RunConfig:
                 raise ConfigError(f"config value {f.name} must be {noun}, got {value!r}")
         if not 0.0 < self.alpha <= 0.5:
             raise ConfigError(f"alpha must lie in (0, 0.5], got {self.alpha}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.bootstrap < 50:
             raise ConfigError(f"bootstrap count must be at least 50, got {self.bootstrap}")
         if self.grid_y < 2:
@@ -238,6 +242,19 @@ def _crossing_tol(config: RunConfig, n: int) -> float:
     return float(np.sqrt(np.log(n) / n))
 
 
+def _rejection_status(surface) -> int:
+    """Exit status of a bound surface; a rejection also gets one stderr line."""
+    for check, report in (("envelopes", surface.crossing),
+                          ("sandwich", surface.sandwich_crossing)):
+        if report.rejected:
+            iy, iz = report.locations[0]
+            print(f"rejected: {check} cross by {report.worst_gap:.6g} > tol "
+                  f"{report.tol:.6g} at y={surface.grid.y[iy]:.6g}, "
+                  f"z={surface.grid.z[iz]:.6g}", file=sys.stderr)
+            return 2
+    return 0
+
+
 def _cmd_estimate(config: RunConfig) -> int:
     sample = _require_input(config)
     grid = EvaluationGrid.from_sample(sample, config.grid_y, config.grid_z)
@@ -259,7 +276,7 @@ def _cmd_bounds(config: RunConfig) -> int:
     modes = ("pf", "if", "random") if config.mode == "all" else (config.mode,)
     if config.mode != "if":
         table = estimate_tables(sample, grid, config.bandwidth)
-    status = 0
+    surface = None
     for mode in modes:
         out = _tagged(config.output, mode) if config.mode == "all" else Path(config.output)
         if mode == "pf":
@@ -274,8 +291,6 @@ def _cmd_bounds(config: RunConfig) -> int:
                 "crossing_tol": surface.crossing.tol,
                 "sandwich_rejected": surface.sandwich_crossing.rejected,
                 "identification_tol": surface.identification_tol}, echo)
-            if surface.rejected:
-                status = 2
         elif mode == "if":
             curve = cost_bounds_if(sample, grid.z, config.bandwidth)
             report = testability_if(curve)
@@ -297,7 +312,7 @@ def _cmd_bounds(config: RunConfig) -> int:
                 "cost_grid": rc.cost_grid, "z_grid": rc.z_grid, "FL": rc.FL,
                 "FU": rc.FU, "identified_z": rc.identified_z,
                 "p_tol": rc.p_tol}, echo)
-    return status
+    return 0 if surface is None else _rejection_status(surface)
 
 
 def _cmd_infer(config: RunConfig) -> int:
@@ -327,7 +342,7 @@ def _cmd_infer(config: RunConfig) -> int:
     write_survival_csv(summary, survival_out, echo)
     write_json_sidecar(survival_out, "survival_summary",
                        survival_to_dict(summary), echo)
-    return 2 if surface.rejected else 0
+    return _rejection_status(surface)
 
 
 def _cmd_simulate(config: RunConfig) -> int:

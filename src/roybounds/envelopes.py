@@ -1,4 +1,4 @@
-"""Envelope operators, sandwich functions, and generalized inverses.
+"""Envelope operators, sandwich functions, and the crossing test.
 
 Matrices are indexed [y, z] with both grids ascending.  On a finite grid the
 right-continuous regularization of a tabulated function is the identity, so
@@ -13,10 +13,6 @@ the envelopes reduce to running extrema:
 
 Then L <= P(Y - C(Y, Z) <= y, D = 1 | z) <= U cell by cell, and a crossing
 Flow > Fhigh anywhere refutes the model restrictions.
-
-Generalized inverses use right-continuous step semantics: the tabulated
-column is read as a step function that holds each value until the next grid
-point, so sup{y : v(y) <= x} is the first grid point whose value exceeds x.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ class EnvelopeTable:
     grid: EvaluationGrid
     Flow: np.ndarray
     Fhigh: np.ndarray
-    lower_support_bound: float = 0.0
 
 
 def envelope_table(table: ConditionalCdfTable, lower_support_bound: float = 0.0) -> EnvelopeTable:
@@ -57,7 +52,6 @@ def envelope_table(table: ConditionalCdfTable, lower_support_bound: float = 0.0)
         grid=table.grid,
         Flow=lower_envelope(table),
         Fhigh=upper_envelope(table, lower_support_bound),
-        lower_support_bound=lower_support_bound,
     )
 
 
@@ -100,34 +94,3 @@ def sandwich(table: ConditionalCdfTable, Flow: np.ndarray, Fhigh: np.ndarray) ->
     L = np.maximum.accumulate(Flow - table.F0, axis=0)
     U = np.flip(np.minimum.accumulate(np.flip(Fhigh - table.F0, axis=0), axis=0), axis=0)
     return SandwichTable(grid=table.grid, L=L, U=U)
-
-
-def generalized_inverse(y_grid: np.ndarray, values: np.ndarray, x: float,
-                        kind: str = "lower") -> float:
-    """Generalized inverse of a non-decreasing tabulated column.
-
-    kind="lower": sup{y : v(y) <= x}, resolved on the grid as the first
-    point whose value exceeds x (the set's supremum may be a limit from an
-    open interval, so it lands on the boundary point itself).  kind="upper"
-    mirrors it from the other side: inf{y : v(y) >= x}, resolved as the
-    last grid point whose value stays below x, since the tabulation only
-    brackets the crossing between two adjacent points and cost bounds need
-    the conservative end of that bracket.  Both clamp to the grid endpoints
-    when the defining set is empty or everything qualifies; callers that
-    must distinguish emptiness check the column range themselves.
-    """
-    y_grid = np.asarray(y_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if y_grid.shape != values.shape or y_grid.ndim != 1:
-        raise DomainError("y grid and values must be equal-length vectors")
-    if y_grid.size == 0:
-        raise DomainError("cannot invert an empty column")
-    if kind not in ("lower", "upper"):
-        raise DomainError(f"unknown inverse kind {kind!r}")
-    side = "right" if kind == "lower" else "left"
-    idx = int(np.searchsorted(values, x, side=side))
-    if idx >= y_grid.size:
-        return float(y_grid[-1])
-    if idx == 0:
-        return float(y_grid[0])
-    return float(y_grid[idx if kind == "lower" else idx - 1])

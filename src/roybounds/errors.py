@@ -9,10 +9,6 @@ class DomainError(RoyBoundsError):
     """Inputs outside the mathematical domain of an operation."""
 
 
-class InvalidUtilityError(RoyBoundsError):
-    """A sector utility violates monotonicity or range requirements."""
-
-
 class InvalidDgpError(RoyBoundsError):
     """A synthetic DGP violates the cost-shape restrictions."""
 

@@ -1,4 +1,4 @@
-"""Core model objects: observed samples, sector utilities, synthetic DGPs.
+"""Core model objects: observed samples, evaluation grids, synthetic DGPs.
 
 The observable data are triples (Y, D, Z): an income Y bounded below, a
 binary sector indicator D, and a scalar selection shifter Z.  Synthetic
@@ -6,8 +6,7 @@ data-generating processes pair lognormal potential incomes (Y0, Y1) with a
 known non-pecuniary cost C(y, z) of working in sector 1, so every estimator
 in the package can be validated against analytic ground truth.
 
-Built-in cost families (each representable through a pair of sector
-utilities, see :func:`utility_pair`):
+Built-in cost families:
 
     pure_roy        C = 0
     quasi_linear    C = g0(z) - g1(z)
@@ -29,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidDgpError, InvalidUtilityError
+from .errors import DomainError, InvalidDgpError
 
 FAMILIES = ("pure_roy", "quasi_linear", "multiplicative", "quadratic", "isoelastic", "custom")
 
@@ -243,65 +242,6 @@ class EvaluationGrid:
         else:
             z = np.linspace(zmin, zmax, n_z)
         return EvaluationGrid(y=y, z=z)
-
-
-@dataclass(frozen=True)
-class SectorUtilityPair:
-    """Sector utilities u0(y, z), u1(y, z), increasing in y at every z."""
-
-    u0: Callable
-    u1: Callable
-
-
-def cost_from_utilities(pair: SectorUtilityPair, y: float, z: float,
-                        tol: float = 1e-10) -> float:
-    """Cost implied by a utility pair: y - u0^{-1}(u1(y, z), z).
-
-    The inverse is taken in the first argument of u0 by bracketed
-    root-finding (bracket expanded geometrically, then Brent) to absolute
-    tolerance ``tol``.  Invariant under common strictly increasing
-    transformations of both utilities.
-
-    Raises
-    ------
-    InvalidUtilityError
-        if u0 is detected non-monotone on the bracket.
-    DomainError
-        if no bracket containing the root can be found.
-    """
-    from scipy import optimize
-
-    y = float(y)
-    z = float(z)
-    target = float(pair.u1(y, z))
-
-    def g(x: float) -> float:
-        return float(pair.u0(x, z)) - target
-
-    lo, hi = y - 1.0, y + 1.0
-    glo, ghi = g(lo), g(hi)
-    width = 2.0
-    for _ in range(200):
-        if glo > ghi + 1e-12:
-            raise InvalidUtilityError("u0 decreasing over the search bracket")
-        if glo <= 0.0 <= ghi:
-            break
-        width *= 2.0
-        if glo > 0.0:
-            lo -= width
-            glo = g(lo)
-        if ghi < 0.0:
-            hi += width
-            ghi = g(hi)
-    else:
-        raise DomainError("could not bracket u0 inverse; u0 may not span u1's value")
-
-    probes = np.array([g(x) for x in np.linspace(lo, hi, 9)])
-    if np.any(np.diff(probes) < -1e-9 * max(1.0, np.max(np.abs(probes)))):
-        raise InvalidUtilityError("u0 non-monotone on the bracket")
-
-    root = optimize.brentq(g, lo, hi, xtol=min(tol, 1e-10) * 0.1, rtol=8.9e-16)
-    return y - root
 
 
 def _const(value: float) -> AffineInZ:
@@ -640,32 +580,6 @@ def true_cost(dgp: DgpSpec, y, z):
     return np.maximum(cost, 0.0)
 
 
-def utility_pair(dgp: DgpSpec) -> SectorUtilityPair:
-    """Static utility pair whose implied cost equals the family closed form.
-
-    The quasi-linear and multiplicative pairs are the structural sector
-    utilities themselves.  The quadratic and isoelastic families price risk
-    through conditional moments, so the returned pair is the cost-equivalent
-    static representation (u0 the identity, u1 shifted income).
-    """
-    if dgp.family == "quasi_linear":
-        return SectorUtilityPair(
-            u0=lambda y, z: y + float(dgp.g0(z)),
-            u1=lambda y, z: y + float(dgp.g1(z)),
-        )
-    if dgp.family == "multiplicative":
-        return SectorUtilityPair(
-            u0=lambda y, z: float(dgp.g0(z)) * y,
-            u1=lambda y, z: float(dgp.g1(z)) * y,
-        )
-    if dgp.family == "pure_roy":
-        return SectorUtilityPair(u0=lambda y, z: y, u1=lambda y, z: y)
-    return SectorUtilityPair(
-        u0=lambda y, z: y,
-        u1=lambda y, z: y - float(true_cost(dgp, y, z)),
-    )
-
-
 def _philox(seed) -> np.random.Generator:
     """Counter-based generator so replications can split seeds safely."""
     if isinstance(seed, np.random.SeedSequence):
@@ -720,67 +634,3 @@ def generate_sample(dgp: DgpSpec, n: int, seed, z_law: ZLaw | None = None) -> Ob
     y = np.where(d, y1, y0)
     return ObservationSample(y=y, d=d.astype(np.int8), z=z,
                              lower_support_bound=dgp.lower_support_bound)
-
-
-@dataclass(frozen=True)
-class SmivReport:
-    """Outcome of a stochastic-monotonicity check."""
-
-    ok: bool
-    worst_violation: float
-    location: tuple | None
-    mode: str
-
-
-def check_smiv(source, y_grid, z_grid, tol: float = 1e-9, **kwargs) -> SmivReport:
-    """Check stochastic monotonicity of the selection-relevant pair in z.
-
-    DGP mode (``source`` is a :class:`DgpSpec`): verifies that the joint
-    lower-orthant probabilities P(Y0 <= a, Y1 - C(Y1, z) <= b | z) are non
-    increasing in z over the grid.  Data mode (``source`` is an
-    :class:`ObservationSample`): verifies the observable implication that
-    P(Y - D*C(Y, Z) <= y | z) is non increasing in z for a candidate cost
-    passed as ``cost=`` (callable of (y, z)).
-    """
-    y_grid = np.asarray(y_grid, dtype=float)
-    z_grid = np.asarray(z_grid, dtype=float)
-    if y_grid.size == 0 or z_grid.size == 0:
-        raise DomainError("check_smiv needs non-empty grids")
-    if isinstance(source, DgpSpec):
-        from .population import check_smiv_dgp
-
-        return check_smiv_dgp(source, y_grid, z_grid, tol=tol, **kwargs)
-    if isinstance(source, ObservationSample):
-        cost = kwargs.pop("cost", None)
-        if cost is None:
-            raise DomainError("data mode needs a candidate cost via cost=")
-        return check_smiv_data(source, cost, y_grid, z_grid, tol=tol, **kwargs)
-    raise DomainError("source must be a DgpSpec or an ObservationSample")
-
-
-def check_smiv_data(sample: ObservationSample, cost, y_grid, z_grid,
-                    tol: float = 1e-9, bandwidth: float | None = None) -> SmivReport:
-    """Observable-implication check on data under a candidate cost."""
-    from .estimation import estimate_tables
-
-    y_grid = np.asarray(y_grid, dtype=float)
-    z_grid = np.asarray(z_grid, dtype=float)
-    c = np.asarray(cost(sample.y, sample.z), dtype=float)
-    v = sample.y - sample.d * c
-    shifted = ObservationSample(y=v, d=sample.d, z=sample.z,
-                                lower_support_bound=float(min(np.min(v), 0.0)))
-    table = estimate_tables(shifted, EvaluationGrid(y=y_grid, z=z_grid), bandwidth=bandwidth)
-    return _monotone_in_z_report(table.F, list(y_grid), z_grid, tol, mode="data")
-
-
-def _monotone_in_z_report(mat: np.ndarray, row_labels, z_grid, tol: float, mode: str) -> SmivReport:
-    """Non-increasing-in-z check for a matrix with one column per z."""
-    if mat.shape[1] < 2:
-        return SmivReport(ok=True, worst_violation=0.0, location=None, mode=mode)
-    inc = np.diff(mat, axis=1)  # positive entries are violations
-    worst = float(np.max(inc))
-    if worst <= tol:
-        return SmivReport(ok=True, worst_violation=max(worst, 0.0), location=None, mode=mode)
-    iy, iz = np.unravel_index(int(np.argmax(inc)), inc.shape)
-    loc = (row_labels[iy], float(z_grid[iz + 1]))
-    return SmivReport(ok=False, worst_violation=worst, location=loc, mode=mode)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimation import ConditionalCdfTable
-from .model import DgpSpec, EvaluationGrid, SmivReport, _monotone_in_z_report
+from .model import DgpSpec, EvaluationGrid
 
 _NODES = 20001
 _TAIL_SD = 8.5
@@ -146,65 +146,3 @@ def _truncated_normal_cdf(x: np.ndarray, mu: float, sigma: float, cap: float) ->
         return norm.cdf((x - mu) / sigma)
     a = (cap - mu) / sigma
     return norm.cdf(np.minimum((x - mu) / sigma, a)) / norm.cdf(a)
-
-
-def lower_orthant_table(dgp: DgpSpec, a_grid: np.ndarray, b_grid: np.ndarray,
-                        z: float, nodes: int = 4001) -> np.ndarray:
-    """P(Y0 <= a, Y1 - C(Y1, z) <= b | z) over an (a, b) grid at one z."""
-    from scipy.integrate import cumulative_simpson
-    from scipy.stats import norm
-
-    a_grid = np.asarray(a_grid, dtype=float)
-    b_grid = np.asarray(b_grid, dtype=float)
-    mu0, mu1, s0, s1, r = *_params_at(dgp, float(z)), dgp.outcome_corr
-    cap = dgp._log_cap()
-    inv = np.asarray(dgp.shifted_income_inverse(b_grid, z), dtype=float)
-    with np.errstate(divide="ignore"):
-        beta = np.where(inv > 0, np.log(np.where(inv > 0, inv, 1.0)), -np.inf)
-    beta = np.where(np.isposinf(inv), np.inf, beta)
-    with np.errstate(divide="ignore"):
-        alpha = np.where(a_grid > 0, np.log(np.where(a_grid > 0, a_grid, 1.0)), -np.inf)
-
-    if abs(r) >= 1.0:
-        if math.isfinite(cap):
-            raise DomainError("degenerate correlation with truncation is unsupported")
-        pa = norm.cdf((alpha - mu0) / s0)
-        pb = norm.cdf((beta - mu1) / s1)
-        if r >= 1.0:
-            return np.minimum(pa[:, None], pb[None, :])
-        return np.maximum(0.0, pa[:, None] + pb[None, :] - 1.0)
-
-    x1 = _node_grid(mu1, s1, cap, nodes)
-    m0 = mu0 + r * (s0 / s1) * (x1 - mu1)
-    sc0 = s0 * math.sqrt(1.0 - r * r)
-    phi1 = norm.pdf(x1, loc=mu1, scale=s1)
-    if math.isfinite(cap):
-        total = cumulative_simpson(phi1 * norm.cdf((cap - m0) / sc0), x=x1, initial=0.0)
-        normalizer = float(total[-1])
-    else:
-        normalizer = 1.0
-
-    out = np.empty((a_grid.size, b_grid.size))
-    beta_eval = np.minimum(beta, x1[-1])
-    for i, al in enumerate(alpha):
-        thresh = min(al, cap) if math.isfinite(cap) else al
-        integrand = phi1 * norm.cdf((thresh - m0) / sc0)
-        cum = cumulative_simpson(integrand, x=x1, initial=0.0)
-        row = np.interp(beta_eval, x1, cum, left=0.0, right=float(cum[-1]))
-        out[i, :] = np.where(np.isneginf(beta), 0.0, row) / normalizer
-    return out
-
-
-def check_smiv_dgp(dgp: DgpSpec, y_grid, z_grid, tol: float = 1e-9,
-                   b_grid=None, nodes: int = 4001) -> SmivReport:
-    """DGP-mode stochastic monotonicity check on joint lower orthants."""
-    y_grid = np.asarray(y_grid, dtype=float)
-    z_grid = np.asarray(z_grid, dtype=float)
-    if y_grid.size == 0 or z_grid.size == 0:
-        raise DomainError("check_smiv needs non-empty grids")
-    b_grid = y_grid if b_grid is None else np.asarray(b_grid, dtype=float)
-    stacked = np.empty((y_grid.size * b_grid.size, z_grid.size))
-    for j, z in enumerate(z_grid):
-        stacked[:, j] = lower_orthant_table(dgp, y_grid, b_grid, float(z), nodes=nodes).ravel()
-    labels = [(float(a), float(b)) for a in y_grid for b in b_grid]
-    return _monotone_in_z_report(stacked, labels, z_grid, tol, mode="dgp")

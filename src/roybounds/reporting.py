@@ -34,17 +34,6 @@ def fmt(x) -> str:
     return repr(x)
 
 
-def parse_float(s: str) -> float:
-    s = s.strip()
-    if s == "":
-        return math.nan
-    if s == "inf":
-        return math.inf
-    if s == "-inf":
-        return -math.inf
-    return float(s)
-
-
 def json_ready(obj):
     """Recursive conversion to JSON-safe structures (no NaN or Infinity)."""
     if isinstance(obj, dict):
@@ -113,16 +102,19 @@ def ingest_csv(path) -> ObservationSample:
                             dtype=float, ndmin=2)
     except ValueError as exc:
         _raise_first_bad_row(lines, cols, exc)
-    y, d, z, *b = np.ascontiguousarray(values.T)
-    b_low = float(b[0][0]) if b else 0.0
-    if not (np.isfinite(values[:, [0, 2]]).all() and np.isin(d, (0.0, 1.0)).all()
+    b_low = float(values[0, 3]) if values.shape[1] > 3 else 0.0
+    if not (np.isfinite(values[:, [0, 2]]).all() and np.isin(values[:, 1], (0.0, 1.0)).all()
             and (values[:, 3:] == b_low).all()):
         _raise_first_bad_row(lines, cols, None)
-    below = np.flatnonzero(y < b_low - 1e-12)
+    below = np.flatnonzero(values[:, 0] < b_low - 1e-12)
     if below.size:
         numbers = [k for k, line in enumerate(lines, 1) if _is_record(line)]
         raise DomainError(f"{below.size} row(s) have y below the support bound "
                           f"{b_low!r}, first at row {numbers[1 + below[0]]}")
+    # free the line strings before building the sample: an object it keeps, made
+    # among them, would pin their allocator arenas and make peak memory erratic
+    del lines, records
+    y, d, z = np.ascontiguousarray(values[:, :3].T)
     return ObservationSample(y=y, d=d, z=z, lower_support_bound=b_low)
 
 
@@ -227,40 +219,6 @@ def write_coverage_csv(report: CoverageReport, path, config=None) -> None:
                      ["coverage_vs_lower", "coverage_vs_cost", "count"],
                      [report.pointwise_vs_lower, report.pointwise_vs_cost,
                       report.cell_counts])
-
-
-def read_long_csv(path):
-    """Generic reader for any artifact CSV: (columns dict, config dict or None).
-
-    Columns parse to float arrays; label columns that contain any
-    non-numeric cell come back as string arrays instead.
-    """
-    config = None
-    with open(path, newline="") as handle:
-        header = None
-        data = []
-        reader = csv.reader(handle)
-        for row in reader:
-            if row and row[0].lstrip().startswith("#"):
-                text = ",".join(row)
-                stripped = text.lstrip().lstrip("#").strip()
-                if stripped.startswith("config:"):
-                    config = json.loads(stripped[len("config:"):])
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                continue
-            data.append(row)
-    if header is None:
-        raise DomainError("empty file: no header row")
-    out = {}
-    for k, name in enumerate(header):
-        cells = [row[k] for row in data]
-        try:
-            out[name] = np.array([parse_float(c) for c in cells])
-        except ValueError:
-            out[name] = np.array(cells)
-    return out, config
 
 
 def band_values_at(band: ConfidenceBand, y, z):

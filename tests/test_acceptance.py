@@ -17,7 +17,6 @@ from roybounds import (
     EvaluationGrid,
     ObservationSample,
     ZLaw,
-    check_smiv,
     conditional_mean,
     cost_bounds_pf,
     crossing_test,
@@ -25,11 +24,9 @@ from roybounds import (
     estimate_tables,
     generate_sample,
     if_bounds_from_moments,
-    lower_bound_interpolator,
     lower_envelope,
     population_tables,
     random_cost_bounds,
-    resimulate_sample,
     true_cost,
     upper_envelope,
 )
@@ -38,6 +35,7 @@ from roybounds.coverage import run_coverage
 from roybounds.estimation import ConditionalCdfTable
 
 from conftest import interior_grid, quasi_dgp_spec
+from reference import check_smiv_data, lower_bound_interpolator, resimulate_sample
 
 
 def _verdict(tag, ok, detail):
@@ -164,8 +162,8 @@ def test_criterion_3_resimulation_reproduces_tables():
             float(np.max(np.abs(np.mean(le & (dj == 1), axis=1) - tab.F1[:, j]))),
             abs(float(np.mean(dj)) - float(tab.p[j])))
 
-    rep = check_smiv(resim, grid.y, grid.z, tol=0.02,
-                     cost=lower_bound_interpolator(surf), bandwidth=0.1)
+    rep = check_smiv_data(resim, lower_bound_interpolator(surf), grid.y, grid.z,
+                          tol=0.02, bandwidth=0.1)
     _verdict("criterion-3",
              worst <= tol and rep.ok,
              f"table sup deviation={worst:.4f} (tol 2x grid spacing={tol:.4f}), "

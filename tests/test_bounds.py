@@ -8,22 +8,20 @@ from hypothesis import strategies as st
 from roybounds import (
     DgpSpec,
     EvaluationGrid,
-    check_smiv_data,
     cost_bounds_if,
     cost_bounds_pf,
     estimate_tables,
     generate_sample,
     if_bounds_from_moments,
-    lower_bound_interpolator,
     population_tables,
     random_cost_bounds,
-    resimulate_sample,
     true_cost,
 )
 from roybounds import testability_if as check_testability
 from roybounds.estimation import ConditionalCdfTable
 
 from conftest import interior_grid
+from reference import check_smiv_data, lower_bound_interpolator, resimulate_sample
 
 
 # -- perfect-foresight surface -------------------------------------------------
@@ -108,7 +106,6 @@ def test_resimulation_reproduces_tables(quasi_dgp):
     assert np.max(np.abs(t1.F - t2.F)) <= 0.05
     assert np.max(np.abs(t1.p - t2.p)) <= 0.02
 
-    lb = lower_bound_interpolator(surf)
     rep = check_smiv_data(s2, lambda yy, zz: np.zeros_like(np.asarray(yy, float)),
                           grid.y[::4], grid.z, tol=0.05)
     assert rep.ok

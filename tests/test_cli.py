@@ -1,16 +1,18 @@
 """End-to-end command tests: config layering, artifacts, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from roybounds import ingest_csv, read_long_csv
+from roybounds import ingest_csv
 from roybounds.cli import main
 
 from conftest import quasi_dgp_spec
+from reference import read_long_csv
 
 
 def _config_file(tmp_path, **overrides):
@@ -122,6 +124,18 @@ def test_numeric_config_values_accept_json_numbers(tmp_path):
     assert main(["bounds", "--mode", "random", "--input", sample, "--output", str(out),
                  "--config", config]) == 0
     assert np.unique(read_long_csv(out)[0]["c"]).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command", ["estimate", "bounds", "infer", "simulate", "coverage"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, form):
+    sample = _simulated(tmp_path, n=400)
+    source = (["--config", _config_file(tmp_path), "--seed", "-1"] if form == "flag"
+              else ["--config", _config_file(tmp_path, seed=-1)])
+    out = tmp_path / "out.csv"
+    assert main([command, "--input", sample, "--output", str(out), *source]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -244,7 +258,11 @@ def test_bounds_mode_all_writes_three_artifacts(tmp_path):
         assert _sidecar(csv_path)["artifact"] == artifact
 
 
-def test_bounds_zero_crossing_tol_flags_rejection(tmp_path):
+# the one stderr line of an exit 2
+_REJECTED = re.compile(r"rejected: (envelopes|sandwich) cross by \S+ > tol \S+ at y=\S+, z=\S+\n")
+
+
+def test_bounds_zero_crossing_tol_flags_rejection(tmp_path, capsys):
     sample_path = _simulated(tmp_path)
     out = tmp_path / "b.csv"
     code = main(["bounds", "--input", sample_path, "--output", str(out),
@@ -253,9 +271,10 @@ def test_bounds_zero_crossing_tol_flags_rejection(tmp_path):
     side = _sidecar(out)
     assert side["data"]["crossing_rejected"] is True
     assert out.exists()
+    assert _REJECTED.fullmatch(capsys.readouterr().err)
 
 
-def test_infer_zero_crossing_tol_exits_two(tmp_path):
+def test_infer_zero_crossing_tol_exits_two(tmp_path, capsys):
     sample_path = _simulated(tmp_path, n=1500, seed=9)
     out = tmp_path / "band.csv"
     code = main(["infer", "--input", sample_path, "--output", str(out),
@@ -263,6 +282,19 @@ def test_infer_zero_crossing_tol_exits_two(tmp_path):
                  "--bootstrap", "50"])
     assert code == 2
     assert _sidecar(out)["data"]["crossing_rejected"] is True
+    assert _REJECTED.fullmatch(capsys.readouterr().err)
+
+
+def test_sector_zero_only_sample_exits_two_with_one_line(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "d0.csv"
+    rows = [f"{float(y)!r},0,{float(z)!r}"
+            for y, z in zip(rng.uniform(1, 3, 400), rng.uniform(size=400))]
+    path.write_text("y,d,z\n" + "\n".join(rows) + "\n")
+    out = str(tmp_path / "out.csv")
+    for args in (["bounds"], ["bounds", "--mode", "all"], ["infer", "--bootstrap", "50"]):
+        assert main([*args, "--input", str(path), "--output", out]) == 2
+        assert _REJECTED.fullmatch(capsys.readouterr().err)
 
 
 def test_repeat_run_writes_identical_bytes(tmp_path):

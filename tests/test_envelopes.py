@@ -10,7 +10,6 @@ from roybounds import (
     EvaluationGrid,
     crossing_test,
     envelope_table,
-    generalized_inverse,
     lower_envelope,
     population_tables,
     sandwich,
@@ -19,6 +18,7 @@ from roybounds import (
 from roybounds.estimation import ConditionalCdfTable
 
 from conftest import interior_grid
+from reference import generalized_inverse
 
 
 def table_from(F, F0, p, y=None, z=None):

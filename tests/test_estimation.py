@@ -10,7 +10,6 @@ from roybounds import (
     NoSupportError,
     conditional_mean,
     estimate_tables,
-    generate_sample,
     silverman_bandwidth,
 )
 from roybounds.errors import DomainError

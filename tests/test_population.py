@@ -6,16 +6,14 @@ import pytest
 from roybounds import (
     DgpSpec,
     EvaluationGrid,
-    check_smiv_dgp,
     generate_sample,
-    lower_orthant_table,
     population_tables,
     true_cost,
 )
 from roybounds.errors import DomainError
-from roybounds.model import utility_pair
 
 from conftest import interior_grid
+from reference import check_smiv_dgp, lower_orthant_table
 
 
 def assert_valid(table):
@@ -111,7 +109,6 @@ def test_lower_orthant_table_matches_mc(quasi_dgp):
     fixed = replace(quasi_dgp, z_law=ZLaw(kind="fixed", value=z0))
     rng = _philox(404)
     n = 400_000
-    pair = utility_pair(fixed)
     x0 = rng.normal(fixed.mu0(z0), fixed.sigma0(z0), n)
     x1 = fixed.mu1(z0) + fixed.sigma1(z0) * (
         fixed.outcome_corr * (x0 - fixed.mu0(z0)) / fixed.sigma0(z0)

@@ -15,30 +15,27 @@ from roybounds import (
     EvaluationGrid,
     ObservationSample,
     band_values_at,
-    cost_bounds_if,
     cost_bounds_pf,
     cost_survival,
     generate_sample,
     ingest_csv,
     population_tables,
-    read_long_csv,
     write_band_csv,
     write_sample_csv,
     write_surface_csv,
     write_table_csv,
 )
 from roybounds.errors import DomainError
-from roybounds.estimation import estimate_tables
 from roybounds.reporting import (
     fmt,
     json_ready,
-    parse_float,
     survival_to_dict,
     write_if_curve_csv,
     write_survival_csv,
 )
 
 from conftest import interior_grid
+from reference import parse_float, read_long_csv
 
 
 # -- float formatting ------------------------------------------------------------
@@ -321,6 +318,10 @@ def test_table_csv_round_trip(tmp_path, quasi_dgp):
     assert np.array_equal(_grid_matrix(cols, "F0", ny, nz), t.F0)
     assert np.array_equal(_grid_matrix(cols, "F1", ny, nz), t.F1)
     assert np.array_equal(cols["p"].reshape(nz, ny)[:, 0], t.p)
+    blank = tmp_path / "blank.csv"
+    blank.write_text("y,z,F\n1.0,0.5,0.2\n\n2.0,0.5,0.4\n")
+    cols, config = read_long_csv(blank)
+    assert config is None and cols["F"].tolist() == [0.2, 0.4]
 
 
 def test_surface_csv_round_trip_with_nan(tmp_path, quasi_dgp):
