@@ -59,7 +59,6 @@ class BoundSurface:
 
 
 def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
-                   identification_tol: float | None = None,
                    crossing_tol: float = 1e-9) -> BoundSurface:
     """Perfect-foresight bounds from envelope and sandwich inversion.
 
@@ -68,8 +67,7 @@ def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
     cells.  When the surface is not rejected with crossing_tol=0 semantics,
     L <= U entrywise forces Clow <= Chigh at every identified cell.
     """
-    if identification_tol is None:
-        identification_tol = table.identification_tol()
+    id_tol = table.identification_tol()
     env = envelope_table(table, lower_support_bound)
     report = crossing_test(env.Flow, env.Fhigh, crossing_tol)
     sw = sandwich(table, env.Flow, env.Fhigh)
@@ -86,7 +84,7 @@ def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
         idx_up = np.searchsorted(sw.U[:, iz], x, side="left")
         # U never reaching x leaves the upper inverse's set empty on the
         # grid; the cell goes dark rather than carrying a -inf bound
-        keep = (x >= identification_tol) & (idx_up < ny)
+        keep = (x >= id_tol) & (idx_up < ny)
         if not np.any(keep):
             continue
         linv = y[np.minimum(idx_low[keep], ny - 1)]
@@ -103,7 +101,7 @@ def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
     return BoundSurface(grid=table.grid, Clow=Clow, Chigh=Chigh,
                         identified_mask=mask, crossing=report,
                         sandwich_crossing=sandwich_report,
-                        identification_tol=identification_tol)
+                        identification_tol=id_tol)
 
 
 @dataclass(frozen=True)
@@ -117,11 +115,9 @@ class IfBoundCurve:
     m0b: np.ndarray
     p: np.ndarray
     p_tol: float
-    bandwidth: float | None = None
 
 
-def if_bounds_from_moments(z_grid, m, m0b, p, p_tol: float = 1e-6,
-                           bandwidth: float | None = None) -> IfBoundCurve:
+def if_bounds_from_moments(z_grid, m, m0b, p, p_tol: float = 1e-6) -> IfBoundCurve:
     """Bounds from the moment vectors directly.
 
     Clow(z) scales the drop of m(z) below its running future minimum by
@@ -146,21 +142,20 @@ def if_bounds_from_moments(z_grid, m, m0b, p, p_tol: float = 1e-6,
     Chigh = np.full_like(m, np.inf)
     Chigh[positive] = (m[positive] - past_max[positive]) / p[positive]
     return IfBoundCurve(z_grid=z_grid, Clow=Clow, Chigh=Chigh, m=m, m0b=m0b,
-                        p=p, p_tol=p_tol, bandwidth=bandwidth)
+                        p=p, p_tol=p_tol)
 
 
-def cost_bounds_if(sample: ObservationSample, z_grid, bandwidth: float | None = None,
-                   p_tol: float | None = None) -> IfBoundCurve:
-    """Estimate the imperfect-foresight moment vectors and bound the cost."""
+def cost_bounds_if(sample: ObservationSample, z_grid,
+                   bandwidth: float | None = None) -> IfBoundCurve:
+    """Estimate the imperfect-foresight moment vectors and bound the cost,
+    with the sample's identification tolerance as p_tol."""
     bandwidth = resolve_bandwidth(sample.z, bandwidth)
     b_low = sample.lower_support_bound
     m, m0b, p = conditional_mean(
         sample, [sample.y, sample.y * (1.0 - sample.d) + b_low * sample.d, sample.d],
         z_grid, bandwidth)
     p = np.clip(p, 0.0, 1.0)
-    if p_tol is None:
-        p_tol = identification_tol(sample.n)
-    return if_bounds_from_moments(z_grid, m, m0b, p, p_tol=p_tol, bandwidth=bandwidth)
+    return if_bounds_from_moments(z_grid, m, m0b, p, p_tol=identification_tol(sample.n))
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,9 @@ class TestabilityReport:
     tol: float
 
 
-def testability_if(curve: IfBoundCurve, tol: float = 1e-9) -> TestabilityReport:
-    """Reject iff m decreases by more than tol between two zero-p grid points."""
+def testability_if(curve: IfBoundCurve) -> TestabilityReport:
+    """Reject iff m drops by more than tol = 1e-9 between two points with p <= tol."""
+    tol = 1e-9
     zero = curve.p <= tol
     worst = 0.0
     location = None
@@ -203,8 +199,7 @@ class RandomCostCdfBounds:
 
 
 def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
-                       lower_support_bound: float = 0.0,
-                       p_tol: float | None = None) -> RandomCostCdfBounds:
+                       lower_support_bound: float = 0.0) -> RandomCostCdfBounds:
     """Bound the cdf of C = Y1 - (Y1 - C) given D=1 from its two marginals.
 
     The shifted-income marginal is only partially identified, so the lower
@@ -216,8 +211,7 @@ def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
     cost_grid = np.asarray(cost_grid, dtype=float)
     if cost_grid.ndim != 1 or cost_grid.size == 0:
         raise DomainError("cost grid must be a nonempty vector")
-    if p_tol is None:
-        p_tol = table.identification_tol()
+    p_tol = table.identification_tol()
     env = envelope_table(table, lower_support_bound)
     y = table.grid.y
     nz = table.grid.z.size

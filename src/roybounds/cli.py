@@ -44,9 +44,15 @@ from .reporting import (
     write_table_csv,
 )
 
-# the types a numeric field's config value may have (bool is no number here)
-_NUMERIC = {"int": (int,), "int | None": (int, type(None)),
-            "float": (int, float), "float | None": (int, float, type(None))}
+# what each field annotation admits from a config file (bool is no number
+# here), and the name of that type in an error
+_NONE = type(None)
+_TYPES = {"int": ("an integer", (int,)), "int | None": ("an integer", (int, _NONE)),
+          "float": ("a number", (int, float)),
+          "float | None": ("a number", (int, float, _NONE)),
+          "str": ("a string", (str,)), "str | None": ("a string", (str, _NONE)),
+          "list | None": ("a list", (list, _NONE)),
+          "dict | None": ("an object", (dict, _NONE))}
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,8 @@ class RunConfig:
         if self.output is None:
             raise ConfigError("an --output path is required")
         for f in fields(self):  # config-file values arrive untyped
-            value, kinds = getattr(self, f.name), _NUMERIC.get(f.type, ())
-            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-                noun = "a number" if float in kinds else "an integer"
+            value, (noun, kinds) = getattr(self, f.name), _TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"config value {f.name} must be {noun}, got {value!r}")
         if not 0.0 < self.alpha <= 0.5:
             raise ConfigError(f"alpha must lie in (0, 0.5], got {self.alpha}")
@@ -118,6 +123,10 @@ class RunConfig:
                     or np.any(np.diff(edges) <= 0)):
                 raise ConfigError("z-bins must be at least 2 finite, strictly "
                                   f"increasing edges, got {self.z_bins!r}")
+        if self.subset_indices is not None and any(  # a bool is no index here
+                type(i) is not int for i in self.subset_indices):
+            raise ConfigError("subset_indices must be a list of integers, "
+                              f"got {self.subset_indices!r}")
         if self.command in ("simulate", "coverage") and self.dgp is None:
             raise ConfigError(f"{self.command} needs a dgp section in the config file")
 

@@ -62,29 +62,27 @@ class CoverageReport:
         }
 
 
-def default_coverage_grid(dgp: DgpSpec, seed: int, n_y: int = 25,
-                          n_z: int = 5) -> EvaluationGrid:
-    """Fixed interior grid from a large pilot draw.
+def default_coverage_grid(dgp: DgpSpec, seed: int) -> EvaluationGrid:
+    """Fixed interior 25 x 5 grid from a large pilot draw.
 
     Quantile range [0.05, 0.95] in both coordinates keeps every cell away
     from the support edges where kernel estimates are noisiest.
     """
     pilot = generate_sample(dgp, 20000, np.random.SeedSequence([seed, 0xC0FFEE]))
-    y = np.unique(np.quantile(pilot.y, np.linspace(0.05, 0.95, n_y)))
-    z = np.unique(np.quantile(pilot.z, np.linspace(0.05, 0.95, n_z)))
+    y = np.unique(np.quantile(pilot.y, np.linspace(0.05, 0.95, 25)))
+    z = np.unique(np.quantile(pilot.z, np.linspace(0.05, 0.95, 5)))
     return EvaluationGrid(y=y, z=z)
 
 
 def run_coverage(dgp: DgpSpec, reps: int, n: int, alpha: float = 0.05,
                  B: int = 200, seed: int = 0,
-                 grid: EvaluationGrid | None = None,
                  bandwidth: float | None = None,
-                 epsilon: float | None = None,
-                 slack: float = 1e-9) -> CoverageReport:
+                 epsilon: float | None = None) -> CoverageReport:
+    """Lower-band coverage on ``default_coverage_grid``, with a slack of 1e-9."""
     if reps < 1:
         raise ConfigError(f"replication count must be at least 1, got {reps}")
-    if grid is None:
-        grid = default_coverage_grid(dgp, seed)
+    grid = default_coverage_grid(dgp, seed)
+    slack = 1e-9
     pop = population_tables(dgp, grid)
     surface = cost_bounds_pf(pop)
     truth = np.column_stack([true_cost(dgp, grid.y, zv) for zv in grid.z])

@@ -171,6 +171,10 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
     sub_idx = np.asarray(sorted({int(i) for i in subset_indices}), dtype=int)
     if sub_idx.size == 0:
         raise ConfigError("selection subset of the y grid is empty")
+    if sub_idx[0] < 0 or sub_idx[-1] >= grid.y.size:
+        bad = sub_idx[0] if sub_idx[0] < 0 else sub_idx[-1]
+        raise ConfigError(f"selection subset index {bad} is outside the "
+                          f"y grid of {grid.y.size} points")
     sign = 1.0 if side == "lower" else -1.0
     dev = sign * (theta[None, :, :] - draws) / sn[None, :, :]
 
@@ -217,7 +221,7 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
     return Cn, Chat, se_binding, crit
 
 
-def confidence_band(sample: ObservationSample, grid: EvaluationGrid | None = None,
+def confidence_band(sample: ObservationSample, grid: EvaluationGrid,
                     bandwidth: float | None = None, alpha: float = 0.05,
                     B: int = 200, seed: int = 0, epsilon: float | None = None,
                     subset_indices=None, side: str = "lower") -> ConfidenceBand:
@@ -227,8 +231,6 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid | None = Non
     ``table``.  Their fiber matrix gives both the default epsilon and the
     point estimate; the bootstrap reuses the tables' bandwidth.
     """
-    if grid is None:
-        grid = EvaluationGrid.from_sample(sample)
     table = estimate_tables(sample, grid, bandwidth)
     pairs, G = _fiber_matrix(table, side, sample.lower_support_bound)
     if epsilon is None:

@@ -13,7 +13,6 @@ Built-in cost families:
     multiplicative  C = y * (1 - g1(z) / g0(z))
     quadratic       C = (eta1(z) - eta0(z) * f(z)) * y**2
     isoelastic      C = (1 - exp((s0(z)**2 - s1(z)**2) * rho / 2)) * y
-    custom          user-supplied callable
 
 Sector choice compares y1 - C(y1, z) against y0 record by record (perfect
 foresight) or compares the two conditional means given z (imperfect
@@ -23,14 +22,13 @@ foresight).  Ties go to sector 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidDgpError
 
-FAMILIES = ("pure_roy", "quasi_linear", "multiplicative", "quadratic", "isoelastic", "custom")
+FAMILIES = ("pure_roy", "quasi_linear", "multiplicative", "quadratic", "isoelastic")
 
 _PROBE_POINTS = 33  # z probe resolution for closed-form shape validation
 _ZPARAMS = ("mu0", "mu1", "sigma0", "sigma1", "g0", "g1", "eta0", "eta1", "f")
@@ -47,15 +45,16 @@ class AffineInZ:
     def __call__(self, z):
         return self.intercept + self.slope * np.asarray(z, dtype=float)
 
-    def spec(self) -> dict:
+    def spec(self) -> dict | float:
+        """JSON form: the intercept alone when the map is constant."""
+        if self.slope == 0.0:
+            return self.intercept
         return {"intercept": self.intercept, "slope": self.slope}
 
 
 def as_zparam(value):
-    """Coerce a scalar, (intercept, slope) pair, dict, or callable to a map of z."""
-    if value is None:
-        return None
-    if callable(value):
+    """Coerce a scalar, (intercept, slope) pair or dict to an AffineInZ."""
+    if value is None or isinstance(value, AffineInZ):
         return value
     if isinstance(value, dict):
         return AffineInZ(float(value["intercept"]), float(value.get("slope", 0.0)))
@@ -63,15 +62,6 @@ def as_zparam(value):
         a, b = value
         return AffineInZ(float(a), float(b))
     return AffineInZ(float(value))
-
-
-def zparam_spec(fn) -> dict | float | None:
-    """JSON form of a z parameter; raises for opaque callables."""
-    if fn is None:
-        return None
-    if isinstance(fn, AffineInZ):
-        return fn.spec() if fn.slope != 0.0 else fn.intercept
-    raise DomainError("parameter is an opaque callable and cannot be serialized")
 
 
 @dataclass(frozen=True)
@@ -118,10 +108,10 @@ class ZLaw:
             return rng.choice(np.asarray(self.values, dtype=float), size=n, p=probs)
         return np.full(n, float(self.value))
 
-    def support_probe(self, k: int = _PROBE_POINTS) -> np.ndarray:
+    def support_probe(self) -> np.ndarray:
         """Representative z values used for closed-form shape validation."""
         if self.kind == "uniform":
-            return np.linspace(self.low, self.high, k)
+            return np.linspace(self.low, self.high, _PROBE_POINTS)
         if self.kind == "choice":
             return np.asarray(self.values, dtype=float)
         return np.array([self.value])
@@ -232,7 +222,7 @@ class EvaluationGrid:
         return (self.y.size, self.z.size)
 
     @staticmethod
-    def from_sample(sample: ObservationSample, n_y: int = 200, n_z: int = 8) -> "EvaluationGrid":
+    def from_sample(sample: ObservationSample, n_y: int, n_z: int) -> "EvaluationGrid":
         """Default grid: n_y empirical quantiles of y, n_z even points over the z range."""
         probs = np.linspace(0.0, 1.0, n_y)
         y = np.unique(np.quantile(sample.y, probs))
@@ -242,10 +232,6 @@ class EvaluationGrid:
         else:
             z = np.linspace(zmin, zmax, n_z)
         return EvaluationGrid(y=y, z=z)
-
-
-def _const(value: float) -> AffineInZ:
-    return AffineInZ(float(value))
 
 
 @dataclass(frozen=True)
@@ -260,25 +246,25 @@ class DgpSpec:
 
     ``foresight`` is "perfect" (record-level comparison) or "imperfect"
     (conditional-mean comparison given z, so selection is deterministic in
-    z).  ``cost_fn`` is only read by the "custom" family.
+    z).  Every z parameter is an AffineInZ; the constructors also take the
+    shapes ``as_zparam`` reads.
     """
 
     family: str
-    mu0: Callable = field(default_factory=lambda: _const(0.0))
-    mu1: Callable = field(default_factory=lambda: _const(0.0))
-    sigma0: Callable = field(default_factory=lambda: _const(1.0))
-    sigma1: Callable = field(default_factory=lambda: _const(1.0))
+    mu0: AffineInZ = AffineInZ(0.0)
+    mu1: AffineInZ = AffineInZ(0.0)
+    sigma0: AffineInZ = AffineInZ(1.0)
+    sigma1: AffineInZ = AffineInZ(1.0)
     outcome_corr: float = 0.0
-    g0: Callable | None = None
-    g1: Callable | None = None
-    eta0: Callable | None = None
-    eta1: Callable | None = None
-    f: Callable | None = None
+    g0: AffineInZ | None = None
+    g1: AffineInZ | None = None
+    eta0: AffineInZ | None = None
+    eta1: AffineInZ | None = None
+    f: AffineInZ | None = None
     rho: float | None = None
-    cost_fn: Callable | None = None
     foresight: str = "perfect"
     lower_support_bound: float = 0.0
-    z_law: ZLaw = field(default_factory=ZLaw)
+    z_law: ZLaw = ZLaw()
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -304,8 +290,6 @@ class DgpSpec:
             raise InvalidDgpError("quadratic needs eta0, eta1 and f")
         if self.family == "isoelastic" and self.rho is None:
             raise InvalidDgpError("isoelastic needs rho")
-        if self.family == "custom" and self.cost_fn is None:
-            raise InvalidDgpError("custom family needs cost_fn")
         self._validate_shape(z)
 
     # -- closed-form validation of the two cost-shape restrictions ----------
@@ -370,11 +354,6 @@ class DgpSpec:
         return DgpSpec(family="isoelastic", mu0=mu0, mu1=mu1, sigma0=sigma0,
                        sigma1=sigma1, rho=rho, **kw)
 
-    @staticmethod
-    def custom(cost_fn, mu0, mu1, sigma0, sigma1, **kw) -> "DgpSpec":
-        return DgpSpec(family="custom", cost_fn=cost_fn, mu0=mu0, mu1=mu1,
-                       sigma0=sigma0, sigma1=sigma1, **kw)
-
     # -- cost geometry --------------------------------------------------------
 
     def cost(self, y, z):
@@ -396,35 +375,16 @@ class DgpSpec:
             kappa = self._linear_cost_slope(z)  # psi(y) = kappa * y, kappa in (0, 1]
             out = np.where(v > 0, v / kappa, np.where(v < 0, -np.inf, 0.0))
             return out
-        if self.family == "quadratic":
-            kap = np.asarray(self.eta1(z) - self.eta0(z) * self.f(z), dtype=float)
-            cap = self.support_cap()
-            with np.errstate(invalid="ignore"):
-                disc = 1.0 - 4.0 * kap * v
-                root = np.where(disc >= 0, (1.0 - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * kap), np.inf)
-            out = np.where(v <= 0, np.where(v < 0, -np.inf, 0.0), root)
-            # beyond the range of psi on the truncated support nothing binds
-            top = self.shifted_income(cap, z)
-            return np.where(v > top, np.inf, out)
-        # custom: bracketed root-finding per point
-        from scipy import optimize
-
-        def inv_one(vv: float, zz: float) -> float:
-            if vv <= 0:
-                return 0.0 if vv == 0 else -np.inf
-            fn = lambda x: float(self.shifted_income(x, zz)) - vv
-            lo, hi = 1e-12, max(2.0 * vv, 1.0)
-            for _ in range(200):
-                if fn(hi) >= 0:
-                    break
-                hi *= 2.0
-            else:
-                return np.inf
-            return float(optimize.brentq(fn, lo, hi, xtol=1e-12, rtol=8.9e-16))
-        if v.ndim == 0:
-            return np.float64(inv_one(float(v), float(z)))
-        zb = np.broadcast_to(z, v.shape)
-        return np.array([inv_one(float(a), float(b)) for a, b in zip(v.ravel(), zb.ravel())]).reshape(v.shape)
+        # quadratic: the smaller root of kap * y**2 - y + v = 0
+        kap = np.asarray(self.eta1(z) - self.eta0(z) * self.f(z), dtype=float)
+        cap = self.support_cap()
+        with np.errstate(invalid="ignore"):
+            disc = 1.0 - 4.0 * kap * v
+            root = np.where(disc >= 0, (1.0 - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * kap), np.inf)
+        out = np.where(v <= 0, np.where(v < 0, -np.inf, 0.0), root)
+        # beyond the range of psi on the truncated support nothing binds
+        top = self.shifted_income(cap, z)
+        return np.where(v > top, np.inf, out)
 
     def _linear_cost_slope(self, z):
         """kappa(z) with psi_z(y) = kappa * y for the two scale families."""
@@ -467,27 +427,24 @@ class DgpSpec:
             return m1 - (self.g0(z) - self.g1(z))
         if self.family in ("multiplicative", "isoelastic"):
             return self._linear_cost_slope(z) * m1
-        if self.family == "quadratic":
-            kap = np.asarray(self.eta1(z) - self.eta0(z) * self.f(z), dtype=float)
-            return m1 - kap * self.outcome_mean(1, z, power=2)
-        return _gauss_hermite_mean(self, z)
+        # quadratic
+        kap = np.asarray(self.eta1(z) - self.eta0(z) * self.f(z), dtype=float)
+        return m1 - kap * self.outcome_mean(1, z, power=2)
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
         params: dict = {
-            "mu0": zparam_spec(self.mu0), "mu1": zparam_spec(self.mu1),
-            "sigma0": zparam_spec(self.sigma0), "sigma1": zparam_spec(self.sigma1),
+            "mu0": self.mu0.spec(), "mu1": self.mu1.spec(),
+            "sigma0": self.sigma0.spec(), "sigma1": self.sigma1.spec(),
             "outcome_corr": self.outcome_corr,
         }
         for name in ("g0", "g1", "eta0", "eta1", "f"):
             fn = getattr(self, name)
             if fn is not None:
-                params[name] = zparam_spec(fn)
+                params[name] = fn.spec()
         if self.rho is not None:
             params["rho"] = self.rho
-        if self.family == "custom":
-            raise DomainError("custom DGPs carry opaque callables and cannot be serialized")
         return {
             "family": self.family,
             "params": params,
@@ -535,28 +492,6 @@ def _lognormal_moment(mu, sigma, k: int, log_cap: float = math.inf):
     return base * norm.cdf(a - k * sigma) / norm.cdf(a)
 
 
-_HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(96)
-
-
-def _gauss_hermite_mean(dgp: DgpSpec, z) -> np.ndarray:
-    """Quadrature fallback for E[Y1 - C(Y1, z) | z] with custom costs."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty(z.shape)
-    w = _HERMITE_WEIGHTS / math.sqrt(2.0 * math.pi)
-    log_cap = dgp._log_cap()
-    for i, zz in enumerate(z):
-        x = float(dgp.mu1(zz)) + float(dgp.sigma1(zz)) * _HERMITE_NODES
-        if math.isfinite(log_cap):
-            keep = x <= log_cap
-            ww = w[keep] / np.sum(w[keep])
-            x = x[keep]
-        else:
-            ww = w
-        y = np.exp(x)
-        out[i] = float(np.sum(ww * (y - true_cost(dgp, y, zz))))
-    return out if out.size > 1 else out[0]
-
-
 def true_cost(dgp: DgpSpec, y, z):
     """Analytic cost C(y, z) of the DGP; raises if the closed form turns negative."""
     y = np.asarray(y, dtype=float)
@@ -569,12 +504,10 @@ def true_cost(dgp: DgpSpec, y, z):
         cost = y * (1.0 - dgp.g1(z) / dgp.g0(z))
     elif dgp.family == "quadratic":
         cost = (dgp.eta1(z) - dgp.eta0(z) * dgp.f(z)) * y**2
-    elif dgp.family == "isoelastic":
+    else:  # isoelastic
         s0 = np.asarray(dgp.sigma0(z), dtype=float)
         s1 = np.asarray(dgp.sigma1(z), dtype=float)
         cost = (1.0 - np.exp((s0**2 - s1**2) * dgp.rho / 2.0)) * y
-    else:
-        cost = np.asarray(dgp.cost_fn(y, z), dtype=float)
     if np.any(np.asarray(cost) < -1e-12):
         raise InvalidDgpError("analytic cost is negative on the requested points")
     return np.maximum(cost, 0.0)
@@ -587,8 +520,8 @@ def _philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def generate_sample(dgp: DgpSpec, n: int, seed, z_law: ZLaw | None = None) -> ObservationSample:
-    """Draw n records (y, d, z) from the DGP; bit-reproducible given a seed.
+def generate_sample(dgp: DgpSpec, n: int, seed) -> ObservationSample:
+    """Draw n records (y, d, z), z from ``dgp.z_law``; bit-reproducible given a seed.
 
     Sector choice uses the record-level rule 1{y1 - C(y1, z) >= y0} under
     perfect foresight (ties to sector 1) and the conditional-mean rule
@@ -596,9 +529,8 @@ def generate_sample(dgp: DgpSpec, n: int, seed, z_law: ZLaw | None = None) -> Ob
     """
     if n < 1:
         raise DomainError("sample size must be positive")
-    law = z_law if z_law is not None else dgp.z_law
     rng = _philox(seed)
-    z = law.draw(rng, n)
+    z = dgp.z_law.draw(rng, n)
     r = dgp.outcome_corr
     a = rng.standard_normal(n)
     b = rng.standard_normal(n)

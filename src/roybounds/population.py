@@ -47,8 +47,7 @@ def _pure_roy_degenerate(dgp: DgpSpec) -> bool:
             and np.allclose(dgp.sigma0(z), dgp.sigma1(z), atol=0.0))
 
 
-def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray,
-                      nodes: int) -> tuple:
+def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
     """(F, F0, F1, p) at one z for a perfect-foresight DGP."""
     from scipy.integrate import cumulative_simpson
     from scipy.stats import norm
@@ -62,7 +61,7 @@ def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray,
     sc1 = s1 * math.sqrt(1.0 - r * r)
 
     # sector 1 sub-distribution: integrate over x1
-    x1 = _node_grid(mu1, s1, cap, nodes)
+    x1 = _node_grid(mu1, s1, cap, _NODES)
     y1 = np.exp(x1)
     psi = y1 - np.asarray(dgp.cost(y1, z), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -75,7 +74,7 @@ def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray,
 
     # sector 0 sub-distribution: integrate over x0; the selection event is
     # X1 < ln psi_z^{-1}(Y0), intersected with the cap under truncation
-    x0 = _node_grid(mu0, s0, cap, nodes)
+    x0 = _node_grid(mu0, s0, cap, _NODES)
     y0 = np.exp(x0)
     inv = np.asarray(dgp.shifted_income_inverse(y0, z), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -97,7 +96,7 @@ def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray,
     return F0 + F1, F0, F1, p
 
 
-def population_tables(dgp: DgpSpec, grid: EvaluationGrid, nodes: int = _NODES) -> ConditionalCdfTable:
+def population_tables(dgp: DgpSpec, grid: EvaluationGrid) -> ConditionalCdfTable:
     """Analytic observable tables (F, F0, F1, p) of a DGP on a grid."""
     from scipy.stats import norm
 
@@ -135,7 +134,7 @@ def population_tables(dgp: DgpSpec, grid: EvaluationGrid, nodes: int = _NODES) -
         return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p)
 
     for j, z in enumerate(grid.z):
-        F[:, j], F0[:, j], F1[:, j], p[j] = _selection_column(dgp, float(z), log_y, nodes)
+        F[:, j], F0[:, j], F1[:, j], p[j] = _selection_column(dgp, float(z), log_y)
     return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p)
 
 

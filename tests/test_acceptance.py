@@ -9,6 +9,7 @@ guarantee is exact, synthetic samples where it is statistical.
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -145,7 +146,7 @@ def test_criterion_3_resimulation_reproduces_tables():
 
     # z drawn exactly on the grid columns so per-column ecdfs are clean
     law = ZLaw(kind="choice", values=tuple(grid.z))
-    base = generate_sample(dgp, 200_000, seed=99, z_law=law)
+    base = generate_sample(replace(dgp, z_law=law), 200_000, seed=99)
     resim = resimulate_sample(base, surf)
 
     # one grid step of rounding in y moves a cdf by at most one increment

@@ -126,6 +126,45 @@ def test_numeric_config_values_accept_json_numbers(tmp_path):
     assert np.unique(read_long_csv(out)[0]["c"]).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
+@pytest.mark.parametrize("command, key, value, noun", [
+    ("estimate", "output", 1, "a string"), ("estimate", "output", 7, "a string"),
+    ("estimate", "output", ["a"], "a string"), ("estimate", "output", True, "a string"),
+    ("estimate", "input", 0, "a string"), ("bounds", "mode", 1, "a string"),
+    ("infer", "side", None, "a string"), ("infer", "z_bins", "0.2,0.8", "a list"),
+    ("simulate", "dgp", ["quasi"], "an object"),
+])
+def test_config_values_of_every_type_are_checked(tmp_path, capsys, monkeypatch,
+                                                  command, key, value, noun):
+    sample = _simulated(tmp_path, n=400)
+    config = _config_file(tmp_path, **{"input": sample, "output": "out.csv", key: value})
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([command, "--config", config]) == 1
+    message = f"error: config value {key} must be {noun}, got {value!r}\n"
+    assert capsys.readouterr() == ("", message)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("value, message", [
+    ([1000], "selection subset index 1000 is outside the y grid of 10 points"),
+    ([-1], "selection subset index -1 is outside the y grid of 10 points"),
+    (["a"], "subset_indices must be a list of integers, got ['a']"),
+    ([1.5], "subset_indices must be a list of integers, got [1.5]"),
+    ([True], "subset_indices must be a list of integers, got [True]"),
+    (3, "config value subset_indices must be a list, got 3"),
+])
+def test_bad_subset_indices_are_config_errors(tmp_path, capsys, value, message):
+    sample = _simulated(tmp_path, n=400)
+    capsys.readouterr()
+    out = tmp_path / "band.csv"
+    assert main(["infer", "--input", sample, "--output", str(out), "--bootstrap", "50",
+                 "--grid-y", "10", "--grid-z", "3",
+                 "--config", _config_file(tmp_path, subset_indices=value)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("form", ["flag", "config"])
 @pytest.mark.parametrize("command", ["estimate", "bounds", "infer", "simulate", "coverage"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, command, form):
@@ -372,6 +411,15 @@ def test_malformed_dgp_is_a_one_line_error(tmp_path, capsys, dgp, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "dgp" in err or "z law" in err  # the message names the section
+    assert not out.exists()
+
+
+def test_custom_family_is_unknown(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    config = _config_file(tmp_path, dgp=_dgp_with(family="custom"))
+    code = main(["simulate", "--config", config, "--output", str(out), "--n", "50"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown family 'custom'\n"
     assert not out.exists()
 
 

@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every top-level
-function and class is used by the package or by a script, no module imports
-a sibling inside a function, the export list matches the package imports,
-and the CLI runs its commands without importing scipy."""
+function and class and every method of such a class is used by the package
+or by a script, no module imports a sibling inside a function, the export
+list matches the package imports, and the CLI runs its commands without
+importing scipy."""
 
 import ast
 import os
@@ -51,15 +52,29 @@ def referenced_names(source: str) -> set:
     return names
 
 
+def defined_names(source: str) -> list:
+    """(name, qualified name) of the top-level functions and classes and of
+    the methods, static methods and properties of those classes; the dunder
+    methods Python calls itself are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(m.name, f"{node.name}.{m.name}") for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+    return out
+
+
 def test_every_definition_has_a_caller():
     # __init__.py re-exports names without using them, so it does not count
     used = set()
     for path in [*MODULES, *sorted((ROOT / "scripts").glob("*.py"))]:
         used |= referenced_names(path.read_text())
-    defined = {node.name for path in MODULES
-               for node in ast.parse(path.read_text()).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert sorted(defined - used) == []
+    uncalled = [qual for path in MODULES
+                for name, qual in defined_names(path.read_text())
+                if name not in used]
+    assert sorted(uncalled) == []
 
 
 def test_no_sibling_import_inside_a_function():
@@ -104,7 +119,7 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 
 
 def test_cli_commands_import_no_scipy(tmp_path):
-    # only coverage, the population tables and custom costs need scipy
+    # only coverage and the population tables need scipy
     path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, "-c", _CLI_RUNS],

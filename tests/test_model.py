@@ -1,6 +1,6 @@
 """Model layer: DGP families, sampling, cost geometry, monotonicity checks."""
 
-from dataclasses import replace
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from roybounds import (
     ObservationSample,
     ZLaw,
     generate_sample,
-    population_tables,
     true_cost,
 )
 from roybounds.errors import DomainError
@@ -217,11 +216,30 @@ def test_dgp_json_round_trip(quasi_dgp):
     assert np.array_equal(a.y, b.y)
 
 
-def test_custom_dgp_not_serializable():
-    dgp = DgpSpec.custom(cost_fn=lambda y, z: 0.1 * y, mu0=0.0, mu1=0.0,
-                         sigma0=0.5, sigma1=0.5)
-    with pytest.raises(DomainError):
-        dgp.to_json()
+_SHAPE = dict(mu0=(0.0, 0.3), mu1=(0.2, 0.5), sigma0=0.6, sigma1=(0.7, 0.1))
+_FAMILIES = {
+    "pure_roy": lambda **kw: DgpSpec.pure_roy(mu=(0.1, 0.4), sigma=0.5,
+                                             outcome_corr=0.3, **kw),
+    "quasi_linear": lambda **kw: DgpSpec.quasi_linear(
+        g0=(1.5, -0.8), g1=0.3, lower_support_bound=-0.5, **_SHAPE, **kw),
+    "multiplicative": lambda **kw: DgpSpec.multiplicative(
+        g0=1.0, g1=(0.55, 0.3), **_SHAPE, **kw),
+    "quadratic": lambda **kw: DgpSpec.quadratic(
+        eta0=0.05, eta1=(0.06, 0.01), f=0.8, **_SHAPE, **kw),
+    "isoelastic": lambda **kw: DgpSpec.isoelastic(rho=1.5, **_SHAPE, **kw),
+}
+_Z_LAWS = {"uniform": ZLaw(kind="uniform", low=-0.2, high=1.3),
+           "choice": ZLaw(kind="choice", values=(0.2, 0.5, 0.7), probs=(0.25, 0.25, 0.5)),
+           "fixed": ZLaw(kind="fixed", value=0.4)}
+
+
+@pytest.mark.parametrize("law", sorted(_Z_LAWS))
+@pytest.mark.parametrize("foresight", ["perfect", "imperfect"])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_every_dgp_survives_its_json_form(family, foresight, law):
+    dgp = _FAMILIES[family](foresight=foresight, z_law=_Z_LAWS[law])
+    assert dgp.family == family
+    assert DgpSpec.from_json(json.loads(json.dumps(dgp.to_json()))) == dgp
 
 
 # -- stochastic monotonicity check --------------------------------------------
@@ -256,27 +274,3 @@ def test_check_smiv_dgp_mode(quasi_dgp):
     rep = check_smiv_dgp(quasi_dgp, np.linspace(0.3, 3.0, 12),
                          np.linspace(0.1, 0.9, 4))
     assert rep.ok and rep.mode == "dgp"
-
-
-@pytest.mark.parametrize("foresight", ["perfect", "imperfect"])
-def test_custom_cost_matches_its_closed_form_family(quasi_dgp, foresight):
-    # the custom family's root-finding inverse and Gauss-Hermite mean must
-    # reproduce the quasi-linear closed forms they stand in for
-    closed = replace(quasi_dgp, foresight=foresight)
-    custom = DgpSpec.custom(
-        cost_fn=lambda y, z: (closed.g0(z) - closed.g1(z)) * np.ones_like(y),
-        mu0=closed.mu0, mu1=closed.mu1, sigma0=closed.sigma0,
-        sigma1=closed.sigma1, foresight=foresight)
-    a = generate_sample(closed, 2000, seed=5)
-    b = generate_sample(custom, 2000, seed=5)
-    assert np.array_equal(a.y, b.y) and np.array_equal(a.d, b.d)
-    assert 0 < np.sum(a.d) < a.n
-    z = np.array([0.2, 0.7])
-    assert np.allclose(custom.mean_shifted_income(z),
-                       closed.mean_shifted_income(z), rtol=0.0, atol=1e-12)
-    grid = EvaluationGrid(y=np.linspace(0.3, 5.0, 12), z=z)
-    want = population_tables(closed, grid, nodes=2001)
-    got = population_tables(custom, grid, nodes=2001)
-    for name in ("F", "F0", "F1", "p"):
-        assert np.allclose(getattr(got, name), getattr(want, name),
-                           rtol=0.0, atol=1e-12), name
