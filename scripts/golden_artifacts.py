@@ -1,7 +1,8 @@
 """Run a fixed set of CLI commands and print one sha256 per artifact.
 
 The set covers simulate, estimate, bounds --mode all, infer (lower, upper,
-and with --bandwidth/--epsilon/--z-bins) and coverage on the quasi-linear
+with --bandwidth/--epsilon/--z-bins, and lower and upper on a grid whose
+bootstrap runs in more than one chunk) and coverage on the quasi-linear
 and multiplicative designs, at small sizes and fixed seeds.  Every command
 runs in OUTDIR with relative paths, so the artifacts (whose headers echo
 the resolved configuration, paths included) do not depend on where OUTDIR
@@ -30,10 +31,15 @@ DESIGNS = {
              "params": {**AFFINE, "g0": 1.0, "g1": {"intercept": 0.55, "slope": 0.35}}},
 }
 GRID = ["--grid-y", "25", "--grid-z", "4"]
+# the last --grid-y/--grid-z flags win: at 100x6 the bootstrap's 50
+# replications run in several chunks, the last of them ragged
+CHUNKED = ["--grid-y", "100", "--grid-z", "6"]
 INFER = {
     "lower": [],
     "upper": ["--side", "upper"],
     "options": ["--bandwidth", "0.25", "--epsilon", "0.001", "--z-bins", "0.2,0.5,0.8"],
+    "chunked-lower": CHUNKED,
+    "chunked-upper": [*CHUNKED, "--side", "upper"],
 }
 
 

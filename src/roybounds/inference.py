@@ -18,6 +18,10 @@ Pipeline for the lower-bound band, mirrored for the upper:
      out slack fibers (adaptive inequality selection), the final quantile
      runs over the kept cells only.
 
+Steps 1 to 3 run on stacks of tables (c, n_y, n_z): the point estimate is a
+stack of one, the bootstrap one chunk of c replications at a time.  Every
+float is the one a table estimated alone would give.
+
 The band then subtracts the inflated infimum from y:
 
     Cn(y, z) = y - min over ztilde of (theta_hat + c_n * s_n)
@@ -36,22 +40,24 @@ from .estimation import ConditionalCdfTable, TableKernel, estimate_tables
 from .model import EvaluationGrid, ObservationSample, _philox
 
 SE_FLOOR = 1e-8
+# fiber entries per bootstrap chunk: at 2**16 the temporaries of a 25x5 grid's
+# chunk raised peak memory, and larger chunks save little time
+_CHUNK_ENTRIES = 2 ** 15
 
 
 def monotonize_eps(values: np.ndarray, eps: float) -> np.ndarray:
-    """Strict monotonization: out[k] = max(values[k], out[k-1] + eps).
+    """Strict monotonization in y: out[k] = max(values[k], out[k-1] + eps).
 
     Equivalent closed form eps*k + running max of (values[k] - eps*k),
-    which vectorizes.  Works columnwise on matrices.
+    which vectorizes.  Works columnwise on matrices and stacks of them, in
+    which y is axis -2.
     """
     values = np.asarray(values, dtype=float)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    if values.ndim == 1:
-        drift = eps * np.arange(values.size)
-    else:
-        drift = eps * np.arange(values.shape[0])[:, None]
-    return drift + np.maximum.accumulate(values - drift, axis=0)
+    cols = values[:, None] if values.ndim == 1 else values
+    drift = eps * np.arange(cols.shape[-2])[:, None]
+    return (drift + np.maximum.accumulate(cols - drift, axis=-2)).reshape(values.shape)
 
 
 def default_epsilon(G: np.ndarray) -> float:
@@ -67,40 +73,50 @@ def _pairs(nz: int, side: str) -> tuple:
     raise DomainError(f"unknown band side {side!r}")
 
 
-def _fiber_matrix(table: ConditionalCdfTable, side: str,
-                  lower_support_bound: float) -> tuple:
-    pairs = _pairs(table.grid.z.size, side)
+def _z_runs(pairs) -> tuple:
+    """Each pair's z, and where each z's run starts (pairs run z by z)."""
+    z_of_pair = np.array([i for i, _ in pairs])
+    return z_of_pair, np.flatnonzero(np.diff(z_of_pair, prepend=-1))
+
+
+def _fiber_matrix(grid: EvaluationGrid, F: np.ndarray, F0: np.ndarray,
+                  p: np.ndarray, side: str, lower_support_bound: float) -> np.ndarray:
+    """Fibers G (c, n_y, n_pairs) of a stack F, F0 (c, n_y, n_z), p (c, n_z), one
+    per pair (i, j): F(.|j) - F0(.|i) (lower), F0(.|j) + p(j) 1{y >= b} - F0(.|i)."""
+    i, j = np.array(_pairs(grid.z.size, side)).T
     if side == "lower":
-        cols = [table.F[:, j] - table.F0[:, i] for i, j in pairs]
-    else:
-        ind = (table.grid.y >= lower_support_bound).astype(float)
-        cols = [table.F0[:, j] + table.p[j] * ind - table.F0[:, i]
-                for i, j in pairs]
-    return pairs, np.column_stack(cols)
+        return F[..., j] - F0[..., i]
+    ind = (grid.y >= lower_support_bound).astype(float)
+    return F0[..., j] + p[..., None, j] * ind[:, None] - F0[..., i]
 
 
-def _theta(table: ConditionalCdfTable, pairs, Gstar: np.ndarray, side: str):
-    """Invert all fibers at all targets; flag cells whose inverse set is empty.
+def _theta(y: np.ndarray, F1: np.ndarray, Gstar: np.ndarray, side: str) -> tuple:
+    """Invert the non-decreasing fiber of each pair (i, j) in Gstar at every
+    F1(y|i); return theta on grid values and the inverses clamped at the
+    uninformative end (target outside the fiber's range), all (c, n_y, n_pairs).
 
-    Returns theta[n_y, n_pairs] on grid values, plus a boolean matrix marking
-    inverses clamped at the uninformative end (target outside fiber range).
+    A stable argsort of each fiber joined to its targets (timsort merges the
+    two sorted runs in linear time) counts the fiber values ahead of each
+    target: fiber first is ``searchsorted(side="right")``, targets first
+    ``side="left"``.  The targets need not be sorted.
     """
-    y = table.grid.y
     ny = y.size
-    npairs = len(pairs)
-    theta = np.empty((ny, npairs))
-    clamped = np.zeros((ny, npairs), dtype=bool)
-    for k, (i, _) in enumerate(pairs):
-        x = table.F1[:, i]
-        if side == "lower":
-            idx = np.searchsorted(Gstar[:, k], x, side="right")
-            clamped[:, k] = idx == 0
-            theta[:, k] = y[np.minimum(idx, ny - 1)]
-        else:
-            idx = np.searchsorted(Gstar[:, k], x, side="left")
-            clamped[:, k] = (idx == ny) | (idx == 0)
-            theta[:, k] = y[np.where(idx >= ny, ny - 1, np.maximum(idx - 1, 0))]
-    return theta, clamped
+    i, _ = np.array(_pairs(F1.shape[-1], side)).T
+    lower = side == "lower"
+    runs = (np.swapaxes(Gstar, -1, -2), np.swapaxes(F1[..., i], -1, -2))
+    merged = np.concatenate(runs if lower else runs[::-1], axis=-1)
+    order = np.argsort(merged.reshape(-1, 2 * ny), axis=1, kind="stable")
+    # each row's targets in merged order: the k-th has k targets ahead of it
+    pos = (np.flatnonzero(order >= ny if lower else order < ny).reshape(-1, ny)
+           - 2 * ny * np.arange(len(order))[:, None])
+    found = np.empty_like(pos)
+    which = np.take_along_axis(order, pos, axis=1) - (ny if lower else 0)
+    np.put_along_axis(found, which, pos - np.arange(ny), axis=1)
+    idx = np.swapaxes(found.reshape(runs[0].shape), -1, -2)
+    if lower:
+        return y[np.minimum(idx, ny - 1)], idx == 0
+    return (y[np.where(idx >= ny, ny - 1, np.maximum(idx - 1, 0))],
+            (idx == ny) | (idx == 0))
 
 
 def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
@@ -111,21 +127,21 @@ def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
     Replications resample whole (y, d, z) records, keeping their dependence.
     Replication b draws n record indices from the b-th child of the master
     seed; the table kernel estimates that resample's tables from the index
-    draw alone, with the full sample's bandwidth and epsilon.
+    draw alone, with the full sample's bandwidth and epsilon.  Each chunk
+    of replications is repaired, fibered and inverted as one stack.
     """
     if B < 50:
         raise ConfigError(f"need at least 50 bootstrap replications, got {B}")
     kernel = TableKernel(sample, grid, bandwidth)
-    lsb = sample.lower_support_bound
     seeds = np.random.SeedSequence(seed).spawn(B)
-    n = sample.n
-    pairs = _pairs(grid.z.size, side)
-    draws = np.empty((B, grid.y.size, len(pairs)))
-    for b in range(B):
-        idx = _philox(seeds[b]).integers(0, n, size=n)
-        table = kernel.table(idx)
-        _, G = _fiber_matrix(table, side, lsb)
-        draws[b], _ = _theta(table, pairs, monotonize_eps(G, epsilon), side)
+    draws = np.empty((B, grid.y.size, len(_pairs(grid.z.size, side))))
+    chunk = max(1, _CHUNK_ENTRIES // draws[0].size)
+    for lo in range(0, B, chunk):
+        F, F0, F1, p = kernel.tables(_philox(s).integers(0, sample.n, size=sample.n)
+                                     for s in seeds[lo:lo + chunk])
+        G = _fiber_matrix(grid, F, F0, p, side, sample.lower_support_bound)
+        G = monotonize_eps(G, epsilon)
+        draws[lo:lo + chunk] = _theta(grid.y, F1, G, side)[0]
     sn = np.maximum(np.std(draws, axis=0, ddof=1), SE_FLOOR)
     return sn, draws
 
@@ -161,10 +177,10 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
              n_obs: int, side: str = "lower") -> tuple:
     """Two-stage critical value and band assembly.
 
-    Returns (Cn, Chat, se_binding, critical value).  The
-    final critical value is the (1-alpha) quantile of the bootstrap max
-    over kept cells, uniform across the grid, floored at zero so the band
-    never exceeds the point estimate.
+    ``pairs`` run z by z, as ``_pairs`` makes them.  Returns (Cn, Chat,
+    se_binding, critical value).  The final critical value is the (1-alpha)
+    quantile of the bootstrap max over kept cells, uniform across the grid,
+    floored at zero so the band never exceeds the point estimate.
     """
     if not 0.0 < alpha <= 0.5:
         raise ConfigError(f"alpha must lie in (0, 0.5], got {alpha}")
@@ -182,19 +198,14 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
     gamma = 1.0 - 0.1 / max(np.log(n_obs), 1.0)
     k_prelim = max(float(np.quantile(np.max(sub, axis=1), gamma)), 0.0)
 
-    ny, npairs = theta.shape
-    nz = grid.z.size
-    z_of_pair = np.array([i for i, _ in pairs])
-    selected = np.zeros((ny, npairs), dtype=bool)
-    for iz in range(nz):
-        cols = np.flatnonzero(z_of_pair == iz)
-        block = theta[:, cols]
-        if side == "lower":
-            best = np.min(block, axis=1, keepdims=True)
-            selected[:, cols] = block <= best + 2.0 * k_prelim * sn[:, cols]
-        else:
-            best = np.max(block, axis=1, keepdims=True)
-            selected[:, cols] = block >= best - 2.0 * k_prelim * sn[:, cols]
+    z_of_pair, first = _z_runs(pairs)
+    best = np.minimum if side == "lower" else np.maximum
+    theta_best = best.reduceat(theta, first, axis=1)
+    slack = 2.0 * k_prelim * sn
+    if side == "lower":
+        selected = theta <= theta_best[:, z_of_pair] + slack
+    else:
+        selected = theta >= theta_best[:, z_of_pair] - slack
 
     keep = selected[sub_idx, :]
     kept_dev = dev[:, sub_idx, :][:, keep]
@@ -203,21 +214,15 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
     else:
         crit = max(float(np.quantile(np.max(kept_dev, axis=1), 1.0 - alpha)), 0.0)
 
-    Cn = np.empty((ny, nz))
-    Chat = np.empty((ny, nz))
-    se_binding = np.empty((ny, nz))
-    for iz in range(nz):
-        cols = np.flatnonzero(z_of_pair == iz)
-        inflated = theta[:, cols] + sign * crit * sn[:, cols]
-        if side == "lower":
-            pick = np.argmin(inflated, axis=1)
-            Chat[:, iz] = grid.y - np.min(theta[:, cols], axis=1)
-        else:
-            pick = np.argmax(inflated, axis=1)
-            Chat[:, iz] = grid.y - np.max(theta[:, cols], axis=1)
-        rows = np.arange(ny)
-        Cn[:, iz] = grid.y - inflated[rows, pick]
-        se_binding[:, iz] = sn[:, cols][rows, pick]
+    inflated = theta + sign * crit * sn
+    binding = best.reduceat(inflated, first, axis=1)
+    # the first pair of each z that binds, as argmin or argmax picks it
+    at = np.where(inflated == binding[:, z_of_pair], np.arange(theta.shape[1]),
+                  theta.shape[1])
+    pick = np.minimum.reduceat(at, first, axis=1)
+    Cn = grid.y[:, None] - binding
+    Chat = grid.y[:, None] - theta_best
+    se_binding = np.take_along_axis(sn, pick, axis=1)
     return Cn, Chat, se_binding, crit
 
 
@@ -232,10 +237,13 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid,
     point estimate; the bootstrap reuses the tables' bandwidth.
     """
     table = estimate_tables(sample, grid, bandwidth)
-    pairs, G = _fiber_matrix(table, side, sample.lower_support_bound)
+    F, F0, F1, p = (a[None] for a in (table.F, table.F0, table.F1, table.p))
+    G = _fiber_matrix(grid, F, F0, p, side, sample.lower_support_bound)
     if epsilon is None:
         epsilon = default_epsilon(G)
-    theta, clamped = _theta(table, pairs, monotonize_eps(G, epsilon), side)
+    Gstar = monotonize_eps(G, epsilon)
+    theta, clamped = (a[0] for a in _theta(grid.y, F1, Gstar, side))
+    pairs = _pairs(grid.z.size, side)
     sn, draws = bootstrap_errors(sample, grid, table.bandwidth, epsilon, B, seed,
                                  side=side)
     if subset_indices is None:
@@ -243,12 +251,8 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid,
     Cn, Chat, se_binding, crit = clr_band(theta, draws, sn, pairs, grid, alpha,
                                           subset_indices, sample.n, side)
 
-    id_tol = table.identification_tol()
-    z_of_pair = np.array([i for i, _ in pairs])
-    mask = table.F1 >= id_tol
-    for iz in range(grid.z.size):
-        cols = np.flatnonzero(z_of_pair == iz)
-        mask[:, iz] &= ~np.any(clamped[:, cols], axis=1)
+    mask = ((table.F1 >= table.identification_tol())
+            & ~np.logical_or.reduceat(clamped, _z_runs(pairs)[1], axis=1))
     return ConfidenceBand(Cn=Cn, Chat=Chat, se=se_binding,
                           critical_value=crit,
                           identified_mask=mask, alpha=alpha, B=B, seed=seed,

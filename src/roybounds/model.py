@@ -271,11 +271,15 @@ class DgpSpec:
             raise InvalidDgpError(f"unknown family {self.family!r}")
         if self.foresight not in ("perfect", "imperfect"):
             raise InvalidDgpError(f"unknown foresight {self.foresight!r}")
-        for name in _ZPARAMS:
-            object.__setattr__(self, name, as_zparam(getattr(self, name)))
         z = self.z_law.support_probe()
         for name in ("outcome_corr", "rho", "lower_support_bound", *_ZPARAMS):
             value = getattr(self, name)
+            try:
+                value = as_zparam(value) if name in _ZPARAMS else (
+                    None if value is None else float(value))
+            except (KeyError, TypeError, ValueError):
+                raise InvalidDgpError(f"malformed dgp value {name}: {value!r}") from None
+            object.__setattr__(self, name, value)
             with np.errstate(all="ignore"):  # an infinite slope at z = 0 gives nan
                 value = value(z) if callable(value) else value
             if value is not None and not np.all(np.isfinite(value)):
@@ -462,14 +466,9 @@ class DgpSpec:
         unknown = set(params) - {*_ZPARAMS, "outcome_corr", "rho"}
         if unknown:
             raise InvalidDgpError(f"unknown dgp parameter(s) {sorted(unknown)}")
-        values = {**params, "lower_support_bound": obj.get("lower_support_bound", 0.0)}
-        kw = {}
-        for name, value in values.items():
-            try:
-                kw[name] = as_zparam(value) if name in _ZPARAMS else float(value)
-            except (KeyError, TypeError, ValueError):
-                kw[name] = None
-            if kw[name] is None:  # as_zparam reads null as unset; to_json never writes it
+        kw = {**params, "lower_support_bound": obj.get("lower_support_bound", 0.0)}
+        for name, value in kw.items():
+            if value is None:  # the constructor reads None as unset; to_json never writes it
                 raise InvalidDgpError(f"malformed dgp value {name}: {value!r}")
         return DgpSpec(
             family=obj["family"],

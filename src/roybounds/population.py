@@ -33,10 +33,10 @@ def _params_at(dgp: DgpSpec, z: float) -> tuple:
             float(dgp.sigma0(z)), float(dgp.sigma1(z)))
 
 
-def _node_grid(mu: float, sigma: float, cap: float, nodes: int) -> np.ndarray:
+def _node_grid(mu: float, sigma: float, cap: float) -> np.ndarray:
     hi = min(mu + _TAIL_SD * sigma, cap)
     lo = hi - 2.0 * _TAIL_SD * sigma
-    return np.linspace(lo, hi, nodes)
+    return np.linspace(lo, hi, _NODES)
 
 
 def _pure_roy_degenerate(dgp: DgpSpec) -> bool:
@@ -61,7 +61,7 @@ def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
     sc1 = s1 * math.sqrt(1.0 - r * r)
 
     # sector 1 sub-distribution: integrate over x1
-    x1 = _node_grid(mu1, s1, cap, _NODES)
+    x1 = _node_grid(mu1, s1, cap)
     y1 = np.exp(x1)
     psi = y1 - np.asarray(dgp.cost(y1, z), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -74,7 +74,7 @@ def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
 
     # sector 0 sub-distribution: integrate over x0; the selection event is
     # X1 < ln psi_z^{-1}(Y0), intersected with the cap under truncation
-    x0 = _node_grid(mu0, s0, cap, _NODES)
+    x0 = _node_grid(mu0, s0, cap)
     y0 = np.exp(x0)
     inv = np.asarray(dgp.shifted_income_inverse(y0, z), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):

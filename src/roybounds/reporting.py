@@ -10,6 +10,7 @@ line starting with '#'.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +24,10 @@ from .errors import DomainError
 from .estimation import ConditionalCdfTable
 from .inference import ConfidenceBand
 from .model import ObservationSample
+
+
+# characters of CSV text split into lines at a time while a sample is parsed
+_LINE_BLOCK = 1 << 18
 
 
 def fmt(x) -> str:
@@ -78,42 +83,53 @@ def _is_record(line: str) -> bool:
     return bool(line) and (rows[0][0] if '"' in line else line).lstrip()[:1] != "#"
 
 
+def _line_blocks(text: str):
+    """``text.split("\n")`` in consecutive lists, one block of text at a time."""
+    start = 0
+    while (end := text.find("\n", start + _LINE_BLOCK)) >= 0:
+        yield text[start:end].split("\n")
+        start = end + 1
+    yield text[start:].split("\n")
+
+
 def ingest_csv(path) -> ObservationSample:
     """Parse an observation file with columns y, d, z (case-insensitive).
 
     One C-level parse of the needed columns, checked as whole columns; only
     a failed check scans the rows, to name the physical line.  An optional
     b_lower column sets the file-level support bound and must be constant.
+    The records reach the parse one block of text at a time; a list of all
+    line strings made peak memory depend on the allocator's past.
     """
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    records = list(filter(_is_record, lines))
-    if not records:
+        text = handle.read()
+    records = filter(_is_record, itertools.chain.from_iterable(_line_blocks(text)))
+    header, first = next(records, None), next(records, None)
+    if header is None:
         raise DomainError("empty file: no header row")
-    cols = {c.strip().lower(): k for k, c in enumerate(next(csv.reader(records[:1])))}
+    cols = {c.strip().lower(): k for k, c in enumerate(next(csv.reader([header])))}
     missing = [c for c in ("y", "d", "z") if c not in cols]
     if missing:
+        list(records)  # an unclosed quote on any line is named first
         raise DomainError(f"missing column(s): {', '.join(missing)}")
-    if len(records) == 1:
+    if first is None:
         raise DomainError("no data rows")
     try:
-        values = np.loadtxt(records[1:], delimiter=",", quotechar='"', comments=None,
+        values = np.loadtxt(itertools.chain([first], records), delimiter=",",
+                            quotechar='"', comments=None,
                             usecols=[cols[c] for c in ("y", "d", "z", "b_lower") if c in cols],
                             dtype=float, ndmin=2)
     except ValueError as exc:
-        _raise_first_bad_row(lines, cols, exc)
+        _raise_first_bad_row(text.split("\n"), cols, exc)
     b_low = float(values[0, 3]) if values.shape[1] > 3 else 0.0
     if not (np.isfinite(values[:, [0, 2]]).all() and np.isin(values[:, 1], (0.0, 1.0)).all()
             and (values[:, 3:] == b_low).all()):
-        _raise_first_bad_row(lines, cols, None)
+        _raise_first_bad_row(text.split("\n"), cols, None)
     below = np.flatnonzero(values[:, 0] < b_low - 1e-12)
     if below.size:
-        numbers = [k for k, line in enumerate(lines, 1) if _is_record(line)]
+        numbers = [k for k, line in enumerate(text.split("\n"), 1) if _is_record(line)]
         raise DomainError(f"{below.size} row(s) have y below the support bound "
                           f"{b_low!r}, first at row {numbers[1 + below[0]]}")
-    # free the line strings before building the sample: an object it keeps, made
-    # among them, would pin their allocator arenas and make peak memory erratic
-    del lines, records
     y, d, z = np.ascontiguousarray(values[:, :3].T)
     return ObservationSample(y=y, d=d, z=z, lower_support_bound=b_low)
 

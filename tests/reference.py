@@ -16,8 +16,9 @@ import numpy as np
 from roybounds.bounds import BoundSurface
 from roybounds.errors import DomainError
 from roybounds.estimation import estimate_tables
+from roybounds.inference import _pairs
 from roybounds.model import DgpSpec, EvaluationGrid, ObservationSample, true_cost
-from roybounds.population import _node_grid, _params_at
+from roybounds.population import _TAIL_SD, _params_at
 
 
 def generalized_inverse(y_grid: np.ndarray, values: np.ndarray, x: float,
@@ -49,6 +50,31 @@ def generalized_inverse(y_grid: np.ndarray, values: np.ndarray, x: float,
     if idx == 0:
         return float(y_grid[0])
     return float(y_grid[idx if kind == "lower" else idx - 1])
+
+
+def searchsorted_theta(y: np.ndarray, F1: np.ndarray, Gstar: np.ndarray,
+                       side: str) -> tuple:
+    """The band's fiber inversion one pair at a time, as ``np.searchsorted``.
+
+    Same arguments and results as ``inference._theta`` on a stack: the fiber
+    of pair (i, j) is inverted at F1(y|i), ``side="right"`` for the lower
+    inverse and ``side="left"`` for the upper.
+    """
+    ny = y.size
+    theta = np.empty(Gstar.shape)
+    clamped = np.zeros(Gstar.shape, dtype=bool)
+    for b in range(Gstar.shape[0]):
+        for k, (i, _) in enumerate(_pairs(F1.shape[-1], side)):
+            x = F1[b, :, i]
+            if side == "lower":
+                idx = np.searchsorted(Gstar[b, :, k], x, side="right")
+                clamped[b, :, k] = idx == 0
+                theta[b, :, k] = y[np.minimum(idx, ny - 1)]
+            else:
+                idx = np.searchsorted(Gstar[b, :, k], x, side="left")
+                clamped[b, :, k] = (idx == ny) | (idx == 0)
+                theta[b, :, k] = y[np.where(idx >= ny, ny - 1, np.maximum(idx - 1, 0))]
+    return theta, clamped
 
 
 def cost_from_utilities(pair, y: float, z: float, tol: float = 1e-10) -> float:
@@ -156,6 +182,13 @@ def _monotone_in_z_report(mat: np.ndarray, row_labels, z_grid, tol: float, mode:
     iy, iz = np.unravel_index(int(np.argmax(inc)), inc.shape)
     loc = (row_labels[iy], float(z_grid[iz + 1]))
     return SmivReport(ok=False, worst_violation=worst, location=loc, mode=mode)
+
+
+def _node_grid(mu: float, sigma: float, cap: float, nodes: int) -> np.ndarray:
+    """``population._node_grid`` with its own node count."""
+    hi = min(mu + _TAIL_SD * sigma, cap)
+    lo = hi - 2.0 * _TAIL_SD * sigma
+    return np.linspace(lo, hi, nodes)
 
 
 def lower_orthant_table(dgp: DgpSpec, a_grid: np.ndarray, b_grid: np.ndarray,

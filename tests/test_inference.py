@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roybounds import (
-    ConditionalCdfTable,
     EvaluationGrid,
     ObservationSample,
     bootstrap_errors,
@@ -33,7 +32,7 @@ from roybounds.inference import (
 )
 
 from conftest import interior_grid
-from reference import generalized_inverse
+from reference import generalized_inverse, searchsorted_theta
 
 
 # -- strict monotonization -------------------------------------------------------
@@ -86,7 +85,9 @@ def test_monotonize_matches_recursion(raw, eps):
 
 def test_fibers_match_table_combinations(quasi_sample, small_grid):
     table = estimate_tables(quasi_sample, small_grid, 0.15)
-    pairs, G = _fiber_matrix(table, "lower", quasi_sample.lower_support_bound)
+    pairs = _pairs(small_grid.z.size, "lower")
+    G = _fiber_matrix(small_grid, table.F, table.F0, table.p, "lower",
+                      quasi_sample.lower_support_bound)
     for k, (i, j) in enumerate(pairs):
         assert j >= i
         expect = table.F[:, j] - table.F0[:, i]
@@ -95,7 +96,9 @@ def test_fibers_match_table_combinations(quasi_sample, small_grid):
 
 def test_diagonal_fiber_is_sector_one_cdf(quasi_sample, small_grid):
     table = estimate_tables(quasi_sample, small_grid, 0.15)
-    pairs, G = _fiber_matrix(table, "lower", quasi_sample.lower_support_bound)
+    pairs = _pairs(small_grid.z.size, "lower")
+    G = _fiber_matrix(small_grid, table.F, table.F0, table.p, "lower",
+                      quasi_sample.lower_support_bound)
     for k, (i, j) in enumerate(pairs):
         if i == j:
             assert np.allclose(G[:, k], table.F1[:, i], atol=1e-12)
@@ -103,7 +106,9 @@ def test_diagonal_fiber_is_sector_one_cdf(quasi_sample, small_grid):
 
 def test_upper_side_fibers_carry_support_mass(quasi_sample, small_grid):
     table = estimate_tables(quasi_sample, small_grid, 0.15)
-    pairs, G = _fiber_matrix(table, "upper", quasi_sample.lower_support_bound)
+    pairs = _pairs(small_grid.z.size, "upper")
+    G = _fiber_matrix(small_grid, table.F, table.F0, table.p, "upper",
+                      quasi_sample.lower_support_bound)
     ind = (small_grid.y >= quasi_sample.lower_support_bound).astype(float)
     for k, (i, j) in enumerate(pairs):
         assert j <= i
@@ -119,8 +124,10 @@ def test_fibers_agree_when_outcome_ignores_z(pure_roy_dgp):
     s = generate_sample(dgp, 20_000, seed=5)
     grid = EvaluationGrid(y=np.quantile(s.y, np.linspace(0.05, 0.95, 25)),
                           z=np.linspace(0.2, 0.8, 4))
-    pairs, G = _fiber_matrix(estimate_tables(s, grid, 0.2), "lower",
-                             s.lower_support_bound)
+    table = estimate_tables(s, grid, 0.2)
+    pairs = _pairs(grid.z.size, "lower")
+    G = _fiber_matrix(grid, table.F, table.F0, table.p, "lower",
+                      s.lower_support_bound)
     for iz in range(4):
         cols = [k for k, (i, _) in enumerate(pairs) if i == iz]
         block = G[:, cols]
@@ -140,11 +147,7 @@ def _theta_single(y, values, x):
     """The band's lower inverse of one monotone fiber at one target value."""
     y = np.asarray(y, dtype=float)
     targets = np.full((y.size, 1), float(x))
-    table = ConditionalCdfTable(grid=EvaluationGrid(y=y, z=np.array([0.5])),
-                                F=targets, F0=np.zeros_like(targets),
-                                F1=targets, p=[0.0])
-    theta, _ = _theta(table, ((0, 0),), np.asarray(values, dtype=float)[:, None],
-                      "lower")
+    theta, _ = _theta(y, targets, np.asarray(values, dtype=float)[:, None], "lower")
     return theta[0, 0]
 
 
@@ -174,22 +177,43 @@ def _fiber_problems(draw):
     pairs = _pairs(nz, side)
     Gstar = np.sort(rng.choice(levels, size=(ny, len(pairs))), axis=0)
     F1 = rng.choice(levels, size=(ny, nz))
-    grid = EvaluationGrid(y=y, z=np.linspace(0.0, 1.0, nz))
-    table = ConditionalCdfTable(grid=grid, F=F1, F0=np.zeros_like(F1), F1=F1,
-                                p=np.zeros(nz))
-    return table, pairs, Gstar, side
+    return y, F1, pairs, Gstar, side
 
 
 @settings(max_examples=80, deadline=None)
 @given(_fiber_problems())
 def test_theta_matches_generalized_inverse_fuzz(problem):
-    table, pairs, Gstar, side = problem
-    theta, _ = _theta(table, pairs, Gstar, side)
-    y = table.grid.y
+    y, F1, pairs, Gstar, side = problem
+    theta, _ = _theta(y, F1, Gstar, side)
     for k, (i, _) in enumerate(pairs):
         for row in range(y.size):
-            ref = generalized_inverse(y, Gstar[:, k], table.F1[row, i], kind=side)
+            ref = generalized_inverse(y, Gstar[:, k], F1[row, i], kind=side)
             assert theta[row, k] == ref
+
+
+@st.composite
+def _fiber_stacks(draw):
+    """Stacks of non-decreasing fibers with ties and signed zeros, and
+    unsorted targets."""
+    c, ny, nz = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    side = draw(st.sampled_from(["lower", "upper"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.concatenate(([-0.0, 0.0, 1.0],
+                             rng.uniform(-0.2, 1.2, draw(st.integers(1, 8)))))
+    npairs = len(_pairs(nz, side))
+    Gstar = np.sort(rng.choice(levels, size=(c, ny, npairs)), axis=1)
+    F1 = rng.choice(levels, size=(c, ny, nz))
+    return np.cumsum(rng.uniform(0.01, 1.0, ny)), F1, Gstar, side
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fiber_stacks())
+def test_stacked_theta_matches_per_pair_searchsorted(problem):
+    y, F1, Gstar, side = problem
+    theta, clamped = _theta(y, F1, Gstar, side)
+    want_theta, want_clamped = searchsorted_theta(y, F1, Gstar, side)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert np.array_equal(clamped, want_clamped)
 
 
 def test_theta_below_fiber_minimum_clamps_low():
@@ -197,9 +221,9 @@ def test_theta_below_fiber_minimum_clamps_low():
 
 
 def _population_theta(t):
-    pairs, G = _fiber_matrix(t, "lower", 0.0)
-    theta, _ = _theta(t, pairs, monotonize_eps(G, 0.0), "lower")
-    return pairs, theta
+    G = _fiber_matrix(t.grid, t.F, t.F0, t.p, "lower", 0.0)
+    theta, _ = _theta(t.grid.y, t.F1, monotonize_eps(G, 0.0), "lower")
+    return _pairs(t.grid.z.size, "lower"), theta
 
 
 def test_diagonal_inversion_recovers_y(quasi_dgp):
@@ -285,9 +309,9 @@ def test_infer_estimates_the_table_and_its_fibers_once(tmp_path, monkeypatch):
         tables.append(estimate_tables(*args, **kwargs))
         return tables[-1]
 
-    def counting_fibers(table, *args):
-        fibers.append(table)
-        return _fiber_matrix(table, *args)
+    def counting_fibers(grid, F, *args):
+        fibers.append(F)
+        return _fiber_matrix(grid, F, *args)
 
     for module in (roybounds.cli, roybounds.inference):
         monkeypatch.setattr(module, "estimate_tables", counting_estimate)
@@ -299,8 +323,9 @@ def test_infer_estimates_the_table_and_its_fibers_once(tmp_path, monkeypatch):
                  "--grid-y", "15", "--grid-z", "3", "--bandwidth", "0.3"])
     assert code in (0, 2)
     assert len(tables) == 1
-    assert sum(t is tables[0] for t in fibers) == 1
-    assert len(fibers) == 51
+    assert sum(np.shares_memory(F, tables[0].F) for F in fibers) == 1
+    # fibers built, summed over stacks: the sample's and 50 replications'
+    assert sum(len(F) for F in fibers) == 51
 
 
 def test_degenerate_sample_hits_se_floor():

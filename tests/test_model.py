@@ -99,6 +99,15 @@ def test_non_finite_dgp_values_are_rejected(field, make):
         make()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("mu0", lambda z: z), ("mu0", (1.0, 2.0, 3.0)), ("g1", {"slope": 0.1}),
+    ("sigma1", "abc"), ("outcome_corr", "abc")],
+    ids=["callable", "triple", "no-intercept", "text-param", "text-scalar"])
+def test_malformed_dgp_values_are_rejected_at_construction(field, value):
+    with pytest.raises(InvalidDgpError, match=f"^malformed dgp value {field}: "):
+        DgpSpec.quasi_linear(**{**_QUASI, field: value})
+
+
 def test_unknown_family_rejected():
     with pytest.raises(InvalidDgpError):
         DgpSpec(family="nope")

@@ -25,6 +25,7 @@ from roybounds import (
     write_surface_csv,
     write_table_csv,
 )
+from roybounds import reporting
 from roybounds.errors import DomainError
 from roybounds.reporting import (
     fmt,
@@ -271,22 +272,28 @@ _HEADERS = ["y,d,z", "Z, y ,D", "y,d,z,b_lower", "b_lower,y,d,z,w", "y,y,d,z", '
 @settings(max_examples=300, deadline=None)
 @given(header=st.sampled_from(_HEADERS),
        rows=st.lists(st.lists(st.sampled_from(_CELLS), min_size=0, max_size=6), max_size=6),
-       newline=st.sampled_from(["\n", "\r\n", "\r"]), end=st.booleans())
-def test_ingest_matches_the_csv_module_reader(tmp_path_factory, header, rows, newline, end):
+       newline=st.sampled_from(["\n", "\r\n", "\r"]), end=st.booleans(),
+       block=st.sampled_from([reporting._LINE_BLOCK, 1, 7]))
+def test_ingest_matches_the_csv_module_reader(tmp_path_factory, header, rows, newline, end,
+                                              block):
     lines = [header] + [",".join(cells) for cells in rows]
     # a quoted cell left open at a line end is rejected now (see above)
     assume(all(len(list(csv.reader([line, ""]))) == 2 for line in lines if '"' in line))
     path = tmp_path_factory.mktemp("fuzz") / "s.csv"
     path.write_bytes((newline.join(lines) + (newline if end else "")).encode())
     expected = _reference_ingest(path)
+    # small blocks split the text into lines in several pieces
+    default, reporting._LINE_BLOCK = reporting._LINE_BLOCK, block
     try:
         s = ingest_csv(path)
     except DomainError as exc:
         assert str(exc) == expected
-    else:
-        y, d, z, bound = expected
-        assert s.y.tobytes() == np.array(y).tobytes() and s.z.tobytes() == np.array(z).tobytes()
-        assert s.d.tolist() == d and s.lower_support_bound == bound
+        return
+    finally:
+        reporting._LINE_BLOCK = default
+    y, d, z, bound = expected
+    assert s.y.tobytes() == np.array(y).tobytes() and s.z.tobytes() == np.array(z).tobytes()
+    assert s.d.tolist() == d and s.lower_support_bound == bound
 
 
 def test_sample_round_trip_bit_exact(tmp_path, quasi_dgp):

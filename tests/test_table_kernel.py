@@ -20,7 +20,6 @@ from hypothesis.extra.numpy import arrays
 from roybounds import EvaluationGrid, ObservationSample, generate_sample
 from roybounds.errors import NoSupportError
 from roybounds.estimation import (
-    ConditionalCdfTable,
     TableKernel,
     _repair_columns,
     conditional_mean,
@@ -29,7 +28,9 @@ from roybounds.estimation import (
     resolve_bandwidth,
 )
 from roybounds.inference import (
+    _CHUNK_ENTRIES,
     _fiber_matrix,
+    _pairs,
     _theta,
     bootstrap_errors,
     default_epsilon,
@@ -96,8 +97,7 @@ def _reference_tables(sample, grid, h, idx=None):
 
 
 def _assert_bitwise(table, ref):
-    for name, want in zip(("F", "F0", "F1", "p"), ref):
-        got = getattr(table, name)
+    for name, got, want in zip(("F", "F0", "F1", "p"), table, ref):
         assert np.array_equal(got, want), name
         assert got.tobytes() == want.tobytes(), f"{name}: signed zeros differ"
 
@@ -105,11 +105,15 @@ def _assert_bitwise(table, ref):
 def _check(sample, grid, h, draws=4, seed=0):
     kernel = TableKernel(sample, grid, h)
     h = kernel.bandwidth
-    _assert_bitwise(kernel.table(), _reference_tables(sample, grid, h))
+    table = estimate_tables(sample, grid, h)
+    _assert_bitwise([table.F, table.F0, table.F1, table.p],
+                    _reference_tables(sample, grid, h))
     rng = np.random.default_rng(seed)
-    for _ in range(draws):
-        idx = rng.integers(0, sample.n, size=sample.n)
-        _assert_bitwise(kernel.table(idx), _reference_tables(sample, grid, h, idx))
+    idx = [None] + [rng.integers(0, sample.n, size=sample.n) for _ in range(draws)]
+    # one stack of the sample and its draws, each table as the reference makes it
+    stack = kernel.tables(idx)
+    for b, i in enumerate(idx):
+        _assert_bitwise([a[b] for a in stack], _reference_tables(sample, grid, h, i))
 
 
 def _two_cluster_sample(n=400, seed=5):
@@ -183,29 +187,34 @@ def test_empty_window_raises_like_the_reference():
     with pytest.raises(NoSupportError):
         _reference_tables(sample, grid, 0.25)
     with pytest.raises(NoSupportError):
-        TableKernel(sample, grid, 0.25).table()
+        TableKernel(sample, grid, 0.25).tables([None])
 
 
 def test_bootstrap_draws_equal_the_resampling_path():
     sample = generate_sample(quasi_dgp_spec(), 1500, seed=21)
-    grid = EvaluationGrid.from_sample(sample, 25, 4)
-    h, seed, B = 0.2, 17, 50
+    grid = EvaluationGrid.from_sample(sample, 40, 5)
+    h, seed, B = 0.2, 17, 120
     lsb = sample.lower_support_bound
 
-    def reference_table(idx=None):
-        F, F0, F1, p = _reference_tables(sample, grid, h, idx)
-        return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p,
-                                   bandwidth=h, n_obs=sample.n)
+    def reference_stack(idx=None):
+        return tuple(a[None] for a in _reference_tables(sample, grid, h, idx))
 
-    eps = default_epsilon(_fiber_matrix(reference_table(), "lower", lsb)[1])
-    assert default_epsilon(_fiber_matrix(estimate_tables(sample, grid, h),
-                                         "lower", lsb)[1]) == eps
-    _, draws = bootstrap_errors(sample, grid, h, eps, B=B, seed=seed)
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(B)):
-        table = reference_table(_philox(child).integers(0, sample.n, size=sample.n))
-        pairs, G = _fiber_matrix(table, "lower", lsb)
-        theta, _ = _theta(table, pairs, monotonize_eps(G, eps), "lower")
-        assert np.array_equal(draws[b], theta), b
+    replications = [reference_stack(_philox(child).integers(0, sample.n, size=sample.n))
+                    for child in np.random.SeedSequence(seed).spawn(B)]
+    table = estimate_tables(sample, grid, h)
+    for side in ("lower", "upper"):
+        # the replications span several chunks, the last of them ragged
+        chunk = _CHUNK_ENTRIES // (grid.y.size * len(_pairs(grid.z.size, side)))
+        assert chunk < B and B % chunk
+        F, F0, F1, p = reference_stack()
+        eps = default_epsilon(_fiber_matrix(grid, F, F0, p, side, lsb))
+        assert default_epsilon(_fiber_matrix(grid, table.F[None], table.F0[None],
+                                             table.p[None], side, lsb)) == eps
+        _, draws = bootstrap_errors(sample, grid, h, eps, B=B, seed=seed, side=side)
+        for b, (F, F0, F1, p) in enumerate(replications):
+            G = _fiber_matrix(grid, F, F0, p, side, lsb)
+            theta, _ = _theta(grid.y, F1, monotonize_eps(G, eps), side)
+            assert np.array_equal(draws[b], theta[0]), (side, b)
 
 
 # -- conditional means against the reference weights over all n records --------
@@ -243,17 +252,21 @@ def test_conditional_means_singular_and_empty_windows():
         conditional_mean(sample, sample.y, np.array([0.5]), 0.25)
 
 
-# -- the repair loop on Python floats against the row-by-row np.clip ------------
+# -- the stacked repair against the row-by-row np.clip ---------------------------
 
 _cells = st.floats(min_value=-0.5, max_value=1.5, allow_subnormal=False) | st.sampled_from(
     [0.0, -0.0, 1.0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda ny: st.integers(1, 4).flatmap(
-    lambda nz: st.tuples(*(arrays(np.float64, (ny, nz), elements=_cells)
-                           for _ in range(3))))))
-def test_repair_matches_row_by_row_clip(tables):
-    # random, non-monotone and out-of-range raw tables, signed zeros included
-    for got, want in zip(_repair_columns(*tables), _reference_repair(*tables)):
-        assert got.tobytes() == want.tobytes()
+@given(st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(*(arrays(np.float64, shape, elements=_cells)
+                              for _ in range(3)))))
+def test_repair_matches_row_by_row_clip(stack):
+    # random, non-monotone and out-of-range raw tables, signed zeros included:
+    # the stack repaired at once, each of its tables as the reference does
+    repaired = _repair_columns(*stack)
+    for b in range(stack[0].shape[0]):
+        want = _reference_repair(*(a[b] for a in stack))
+        for got, ref in zip(repaired, want):
+            assert got[b].tobytes() == ref.tobytes()
