@@ -75,8 +75,9 @@ class RunConfig:
     z_bins: list | None = None
     n: int = 1000
     reps: int = 200
-    # has no effect: the bootstrap runs in one thread; kept so that older
-    # config files load and artifacts echo the same configuration
+    # has no effect: the bootstrap and the coverage replications use the CPUs
+    # of the affinity mask; kept so that older config files load and artifacts
+    # echo the same configuration
     workers: int | None = None
     dgp: dict | None = None
     subset_indices: list | None = None

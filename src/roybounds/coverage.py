@@ -6,6 +6,9 @@ it cellwise against two references computed once up front: the population
 lower bound on that grid and the true cost itself.  A replication counts
 as a uniform violation when the band exceeds the reference at any cell
 that is identified both in the population and in the replication.
+Replication r depends only on its seed, so the replications split into one
+range per CPU (``parallel.fork_join``), each band's bootstrap running
+serially inside its range, with the same counts at any width.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .bounds import cost_bounds_pf
 from .errors import ConfigError
 from .inference import confidence_band
 from .model import DgpSpec, EvaluationGrid, generate_sample, true_cost
+from .parallel import fork_join
 from .population import population_tables
 
 
@@ -87,29 +91,25 @@ def run_coverage(dgp: DgpSpec, reps: int, n: int, alpha: float = 0.05,
     surface = cost_bounds_pf(pop)
     truth = np.column_stack([true_cost(dgp, grid.y, zv) for zv in grid.z])
 
-    ny, nz = surface.Clow.shape
-    ok_lower = np.zeros((ny, nz))
-    ok_cost = np.zeros((ny, nz))
-    counts = np.zeros((ny, nz))
-    uni_lower = 0
-    uni_cost = 0
-    for r in range(reps):
-        # two independent child streams per replication, order-stable
-        sample_seed, boot_seed = np.random.SeedSequence([seed, r]).spawn(2)
-        sample = generate_sample(dgp, n, sample_seed)
-        band = confidence_band(sample, grid, bandwidth=bandwidth, alpha=alpha,
-                               B=B, seed=int(boot_seed.generate_state(1)[0]),
-                               epsilon=epsilon)
-        valid = surface.identified_mask & band.identified_mask
-        counts += valid
-        good_lower = valid & (band.Cn <= surface.Clow + slack)
-        good_cost = valid & (band.Cn <= truth + slack)
-        ok_lower += good_lower
-        ok_cost += good_cost
-        if np.any(valid & ~good_lower):
-            uni_lower += 1
-        if np.any(valid & ~good_cost):
-            uni_cost += 1
+    def run(lo, hi, out):
+        for r in range(lo, hi):
+            # two independent child streams per replication, order-stable
+            sample_seed, boot_seed = np.random.SeedSequence([seed, r]).spawn(2)
+            sample = generate_sample(dgp, n, sample_seed)
+            band = confidence_band(sample, grid, bandwidth=bandwidth, alpha=alpha,
+                                   B=B, seed=int(boot_seed.generate_state(1)[0]),
+                                   epsilon=epsilon)
+            valid = surface.identified_mask & band.identified_mask
+            out[r] = (valid, valid & (band.Cn <= surface.Clow + slack),
+                      valid & (band.Cn <= truth + slack))
+
+    # (valid, good vs lower, good vs cost) per replication and cell
+    valid, good_lower, good_cost = fork_join(
+        run, reps, (3, *surface.Clow.shape), bool).swapaxes(0, 1)
+    counts, ok_lower, ok_cost = (a.sum(axis=0, dtype=float)
+                                 for a in (valid, good_lower, good_cost))
+    uni_lower = int(np.any(valid & ~good_lower, axis=(1, 2)).sum())
+    uni_cost = int(np.any(valid & ~good_cost, axis=(1, 2)).sum())
 
     with np.errstate(invalid="ignore"):
         pw_lower = np.where(counts > 0, ok_lower / np.maximum(counts, 1), np.nan)

@@ -12,7 +12,9 @@ Pipeline for the lower-bound band, mirrored for the upper:
      indices from its own child of the master seed, and the estimation
      module's table kernel turns that index draw into the resample's tables
      directly (no resampled copy of the data, bit for bit the tables of the
-     copy), giving cellwise standard errors and centered draws;
+     copy), giving cellwise standard errors and centered draws.  Draw b
+     depends only on its seed, so the replications split into one range per
+     CPU (``parallel.fork_join``) with the same bytes at any width;
   5. critical value by the two-stage intersection-bounds recipe: a
      preliminary quantile of the studentized max over a y-subset screens
      out slack fibers (adaptive inequality selection), the final quantile
@@ -38,6 +40,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .estimation import ConditionalCdfTable, TableKernel, estimate_tables
 from .model import EvaluationGrid, ObservationSample, _philox
+from .parallel import fork_join
 
 SE_FLOOR = 1e-8
 # fiber entries per bootstrap chunk: at 2**16 the temporaries of a 25x5 grid's
@@ -127,21 +130,26 @@ def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
     Replications resample whole (y, d, z) records, keeping their dependence.
     Replication b draws n record indices from the b-th child of the master
     seed; the table kernel estimates that resample's tables from the index
-    draw alone, with the full sample's bandwidth and epsilon.  Each chunk
-    of replications is repaired, fibered and inverted as one stack.
+    draw alone, with the full sample's bandwidth and epsilon.  Each CPU's
+    range runs in chunks that are repaired, fibered and inverted as one stack.
     """
     if B < 50:
         raise ConfigError(f"need at least 50 bootstrap replications, got {B}")
     kernel = TableKernel(sample, grid, bandwidth)
     seeds = np.random.SeedSequence(seed).spawn(B)
-    draws = np.empty((B, grid.y.size, len(_pairs(grid.z.size, side))))
-    chunk = max(1, _CHUNK_ENTRIES // draws[0].size)
-    for lo in range(0, B, chunk):
-        F, F0, F1, p = kernel.tables(_philox(s).integers(0, sample.n, size=sample.n)
-                                     for s in seeds[lo:lo + chunk])
-        G = _fiber_matrix(grid, F, F0, p, side, sample.lower_support_bound)
-        G = monotonize_eps(G, epsilon)
-        draws[lo:lo + chunk] = _theta(grid.y, F1, G, side)[0]
+    shape = (grid.y.size, len(_pairs(grid.z.size, side)))
+    chunk = max(1, _CHUNK_ENTRIES // (shape[0] * shape[1]))
+
+    def run(lo, hi, draws):
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            F, F0, F1, p = kernel.tables(_philox(s).integers(0, sample.n, size=sample.n)
+                                         for s in seeds[a:b])
+            G = _fiber_matrix(grid, F, F0, p, side, sample.lower_support_bound)
+            G = monotonize_eps(G, epsilon)
+            draws[a:b] = _theta(grid.y, F1, G, side)[0]
+
+    draws = fork_join(run, B, shape, float)
     sn = np.maximum(np.std(draws, axis=0, ddof=1), SE_FLOOR)
     return sn, draws
 

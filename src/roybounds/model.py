@@ -52,16 +52,23 @@ class AffineInZ:
         return {"intercept": self.intercept, "slope": self.slope}
 
 
+def _number(value) -> float:
+    """float(value), refusing a bool: JSON true is no number here."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def as_zparam(value):
     """Coerce a scalar, (intercept, slope) pair or dict to an AffineInZ."""
     if value is None or isinstance(value, AffineInZ):
         return value
     if isinstance(value, dict):
-        return AffineInZ(float(value["intercept"]), float(value.get("slope", 0.0)))
+        return AffineInZ(_number(value["intercept"]), _number(value.get("slope", 0.0)))
     if isinstance(value, (tuple, list)):
         a, b = value
-        return AffineInZ(float(a), float(b))
-    return AffineInZ(float(value))
+        return AffineInZ(_number(a), _number(b))
+    return AffineInZ(_number(value))
 
 
 @dataclass(frozen=True)
@@ -131,15 +138,16 @@ class ZLaw:
         kind = obj.get("kind", "uniform") if isinstance(obj, dict) else None
         try:
             if kind == "uniform":
-                return ZLaw(kind="uniform", low=float(obj["low"]), high=float(obj["high"]))
+                return ZLaw(kind="uniform", low=_number(obj["low"]),
+                            high=_number(obj["high"]))
             if kind == "choice":
                 return ZLaw(
                     kind="choice",
-                    values=tuple(float(v) for v in obj["values"]),
-                    probs=tuple(float(p) for p in obj.get("probs", ())),
+                    values=tuple(_number(v) for v in obj["values"]),
+                    probs=tuple(_number(p) for p in obj.get("probs", ())),
                 )
             if kind == "fixed":
-                return ZLaw(kind="fixed", value=float(obj["value"]))
+                return ZLaw(kind="fixed", value=_number(obj["value"]))
         except (KeyError, TypeError, ValueError):
             pass
         raise InvalidDgpError(f"malformed z law {obj!r}")
@@ -276,7 +284,7 @@ class DgpSpec:
             value = getattr(self, name)
             try:
                 value = as_zparam(value) if name in _ZPARAMS else (
-                    None if value is None else float(value))
+                    None if value is None else _number(value))
             except (KeyError, TypeError, ValueError):
                 raise InvalidDgpError(f"malformed dgp value {name}: {value!r}") from None
             object.__setattr__(self, name, value)

@@ -395,12 +395,22 @@ def _params_with(**changes):
     _dgp_with(z_law={"kind": "choice", "values": [0.2, 0.7], "probs": [-0.5, 1.5]}),
     _params_with(sigma0=float("nan")),
     _dgp_with(z_law={"kind": "uniform", "low": 0.0, "high": float("inf")}),
-    _dgp_with(lower_support_bound=float("nan"))],
+    _dgp_with(lower_support_bound=float("nan")),
+    _params_with(g0=True),
+    _params_with(mu1=[0.2, False]),
+    _params_with(g1={"intercept": 0.3, "slope": True}),
+    _params_with(outcome_corr=False),
+    _dgp_with(lower_support_bound=True),
+    _dgp_with(z_law={"kind": "uniform", "low": False, "high": 1.0}),
+    _dgp_with(z_law={"kind": "choice", "values": [0.2, True]}),
+    _dgp_with(z_law={"kind": "fixed", "value": True})],
     ids=["no-family", "bogus-z-law-kind", "text-z-law-bound", "text-z-law",
          "text-param", "unknown-param", "short-pair", "no-intercept",
          "text-params", "text-lower-bound", "text-dgp", "probs-sum-above-one",
          "negative-probs", "nan-param", "infinite-z-law-bound",
-         "nan-lower-bound"])
+         "nan-lower-bound", "bool-param", "bool-in-pair", "bool-slope",
+         "bool-scalar", "bool-lower-bound", "bool-z-law-bound", "bool-z-law-value",
+         "bool-z-law-fixed"])
 @pytest.mark.parametrize("command", ["simulate", "coverage"])
 def test_malformed_dgp_is_a_one_line_error(tmp_path, capsys, dgp, command):
     out = tmp_path / "out.csv"

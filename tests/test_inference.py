@@ -302,7 +302,10 @@ def test_bootstrap_worker_count_does_not_change_draws(tmp_path):
 def test_infer_estimates_the_table_and_its_fibers_once(tmp_path, monkeypatch):
     import roybounds.cli
     import roybounds.inference
+    import roybounds.parallel
 
+    # counts in this process: the replications must not fork
+    monkeypatch.setattr(roybounds.parallel, "_width", lambda: 1)
     tables, fibers = [], []
 
     def counting_estimate(*args, **kwargs):

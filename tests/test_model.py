@@ -101,8 +101,12 @@ def test_non_finite_dgp_values_are_rejected(field, make):
 
 @pytest.mark.parametrize("field,value", [
     ("mu0", lambda z: z), ("mu0", (1.0, 2.0, 3.0)), ("g1", {"slope": 0.1}),
-    ("sigma1", "abc"), ("outcome_corr", "abc")],
-    ids=["callable", "triple", "no-intercept", "text-param", "text-scalar"])
+    ("sigma1", "abc"), ("outcome_corr", "abc"), ("g0", True), ("mu1", (0.1, False)),
+    ("g1", {"intercept": 0.2, "slope": True}), ("sigma0", {"intercept": True}),
+    ("outcome_corr", False), ("lower_support_bound", np.True_)],
+    ids=["callable", "triple", "no-intercept", "text-param", "text-scalar",
+         "bool-param", "bool-in-pair", "bool-slope", "bool-intercept",
+         "bool-scalar", "numpy-bool-bound"])
 def test_malformed_dgp_values_are_rejected_at_construction(field, value):
     with pytest.raises(InvalidDgpError, match=f"^malformed dgp value {field}: "):
         DgpSpec.quasi_linear(**{**_QUASI, field: value})
