@@ -3,7 +3,11 @@
 The set covers simulate, estimate, bounds --mode all, infer (lower, upper,
 with --bandwidth/--epsilon/--z-bins, and lower and upper on a grid whose
 bootstrap runs in more than one chunk) and coverage on the quasi-linear
-and multiplicative designs, at small sizes and fixed seeds.  Every command
+and multiplicative designs, simulate on the pure Roy, quadratic,
+isoelastic and an imperfect-foresight design (each cost family's closed
+form and both selection rules), and coverage, whose references are the
+population tables, on the quadratic and isoelastic designs, at small sizes
+and fixed seeds.  Every command
 runs in OUTDIR with relative paths, so the artifacts (whose headers echo
 the resolved configuration, paths included) do not depend on where OUTDIR
 lies, and two checkouts can be compared line by line:
@@ -30,6 +34,20 @@ DESIGNS = {
     "mult": {"family": "multiplicative",
              "params": {**AFFINE, "g0": 1.0, "g1": {"intercept": 0.55, "slope": 0.35}}},
 }
+# designs run through simulate only, and the COVERED ones through coverage too;
+# the quadratic one sits low enough to keep draws clear of its curvature cap
+SIMULATED = {
+    "roy": {"family": "pure_roy", "params": AFFINE},
+    "quad": {"family": "quadratic",
+             "params": {**AFFINE, "mu0": {"intercept": -1.3, "slope": 0.2},
+                        "mu1": {"intercept": -1.2, "slope": 0.3},
+                        "eta0": 0.25, "eta1": {"intercept": 0.45, "slope": -0.1},
+                        "f": 0.8}},
+    "iso": {"family": "isoelastic",
+            "params": {**AFFINE, "sigma0": 0.5, "sigma1": 0.7, "rho": 2.0}},
+    "quasi-if": {**DESIGNS["quasi"], "foresight": "imperfect"},
+}
+COVERED = ("quad", "iso")
 GRID = ["--grid-y", "25", "--grid-z", "4"]
 # the last --grid-y/--grid-z flags win: at 100x6 the bootstrap's 50
 # replications run in several chunks, the last of them ragged
@@ -46,16 +64,20 @@ INFER = {
 def commands(name: str) -> list:
     sample = f"{name}.sample.csv"
     infer = ["infer", "--input", sample, "--bootstrap", "50", "--seed", "5", *GRID]
+    simulate = ["simulate", "--config", f"{name}.json", "--n", "600", "--seed", "3",
+                "--output", sample]
+    coverage = ["coverage", "--config", f"{name}.json", "--n", "300", "--reps", "2",
+                "--bootstrap", "50", "--seed", "1", "--output", f"{name}.coverage.csv"]
+    if name in SIMULATED:
+        return [simulate, *([coverage] if name in COVERED else [])]
     return [
-        ["simulate", "--config", f"{name}.json", "--n", "600", "--seed", "3",
-         "--output", sample],
+        simulate,
         ["estimate", "--input", sample, *GRID, "--output", f"{name}.tables.csv"],
         ["bounds", "--input", sample, "--mode", "all", *GRID,
          "--output", f"{name}.bounds.csv"],
         *([*infer, *extra, "--output", f"{name}.band-{label}.csv"]
           for label, extra in INFER.items()),
-        ["coverage", "--config", f"{name}.json", "--n", "300", "--reps", "2",
-         "--bootstrap", "50", "--seed", "1", "--output", f"{name}.coverage.csv"],
+        coverage,
     ]
 
 
@@ -66,7 +88,7 @@ def main() -> int:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(args.repo.resolve() / "src")}
-    for name, dgp in DESIGNS.items():
+    for name, dgp in {**DESIGNS, **SIMULATED}.items():
         (args.outdir / f"{name}.json").write_text(json.dumps({"dgp": dgp}))
         for argv in commands(name):
             proc = subprocess.run([sys.executable, "-m", "roybounds.cli", *argv],

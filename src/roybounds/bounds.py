@@ -25,19 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelopes import (
-    CrossingReport,
-    crossing_test,
-    envelope_table,
-    sandwich,
-)
+from .envelopes import CrossingReport, _inverse_count, crossing_test, envelope_table, sandwich
 from .errors import DomainError
-from .estimation import (
-    ConditionalCdfTable,
-    conditional_mean,
-    identification_tol,
-    resolve_bandwidth,
-)
+from .estimation import ConditionalCdfTable, conditional_mean, identification_tol
 from .model import EvaluationGrid, ObservationSample
 
 
@@ -67,37 +57,27 @@ def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
     cells.  When the surface is not rejected with crossing_tol=0 semantics,
     L <= U entrywise forces Clow <= Chigh at every identified cell.
     """
-    id_tol = table.identification_tol()
+    id_tol = identification_tol(table.n_obs)
     env = envelope_table(table, lower_support_bound)
     report = crossing_test(env.Flow, env.Fhigh, crossing_tol)
     sw = sandwich(table, env.Flow, env.Fhigh)
     sandwich_report = crossing_test(sw.L, sw.U, crossing_tol)
 
     y = table.grid.y
-    ny, nz = table.F1.shape
-    Clow = np.full((ny, nz), np.nan)
-    Chigh = np.full((ny, nz), np.nan)
-    mask = np.zeros((ny, nz), dtype=bool)
-    for iz in range(nz):
-        x = table.F1[:, iz]
-        idx_low = np.searchsorted(sw.L[:, iz], x, side="right")
-        idx_up = np.searchsorted(sw.U[:, iz], x, side="left")
-        # U never reaching x leaves the upper inverse's set empty on the
-        # grid; the cell goes dark rather than carrying a -inf bound
-        keep = (x >= id_tol) & (idx_up < ny)
-        if not np.any(keep):
-            continue
-        linv = y[np.minimum(idx_low[keep], ny - 1)]
-        uinv = y[np.maximum(idx_up[keep] - 1, 0)]
-        # U already at/above x on the first grid point: the crossing sits
-        # off-grid in [b_lower, y[0]] because shifted income of sector-1
-        # choosers never falls below the outcome support bound
-        bottom = idx_up[keep] == 0
-        if np.any(bottom):
-            uinv = np.where(bottom, min(lower_support_bound, y[0]), uinv)
-        Clow[keep, iz] = np.maximum(y[keep] - linv, 0.0)
-        Chigh[keep, iz] = np.maximum(y[keep] - uinv, 0.0)
-        mask[:, iz] = keep
+    x = table.F1
+    idx_low = _inverse_count(sw.L, x, "lower")
+    idx_up = _inverse_count(sw.U, x, "upper")
+    # U never reaching x leaves the upper inverse's set empty on the grid;
+    # the cell goes dark rather than carrying a -inf bound
+    mask = (x >= id_tol) & (idx_up < y.size)
+    linv = y[np.minimum(idx_low, y.size - 1)]
+    # U already at/above x on the first grid point: the crossing sits
+    # off-grid in [b_lower, y[0]] because shifted income of sector-1
+    # choosers never falls below the outcome support bound
+    uinv = np.where(idx_up == 0, min(lower_support_bound, y[0]),
+                    y[np.maximum(idx_up - 1, 0)])
+    Clow = np.where(mask, np.maximum(y[:, None] - linv, 0.0), np.nan)
+    Chigh = np.where(mask, np.maximum(y[:, None] - uinv, 0.0), np.nan)
     return BoundSurface(grid=table.grid, Clow=Clow, Chigh=Chigh,
                         identified_mask=mask, crossing=report,
                         sandwich_crossing=sandwich_report,
@@ -149,7 +129,6 @@ def cost_bounds_if(sample: ObservationSample, z_grid,
                    bandwidth: float | None = None) -> IfBoundCurve:
     """Estimate the imperfect-foresight moment vectors and bound the cost,
     with the sample's identification tolerance as p_tol."""
-    bandwidth = resolve_bandwidth(sample.z, bandwidth)
     b_low = sample.lower_support_bound
     m, m0b, p = conditional_mean(
         sample, [sample.y, sample.y * (1.0 - sample.d) + b_low * sample.d, sample.d],
@@ -164,26 +143,19 @@ class TestabilityReport:
 
     rejected: bool
     worst_violation: float
-    location: tuple | None
     tol: float
 
 
 def testability_if(curve: IfBoundCurve) -> TestabilityReport:
     """Reject iff m drops by more than tol = 1e-9 between two points with p <= tol."""
     tol = 1e-9
-    zero = curve.p <= tol
-    worst = 0.0
-    location = None
-    idx = np.flatnonzero(zero)
-    for a in range(idx.size):
-        for b in range(a + 1, idx.size):
-            i, j = idx[a], idx[b]
-            drop = curve.m[i] - curve.m[j]
-            if drop > worst:
-                worst = drop
-                location = (float(curve.z_grid[j]), float(curve.z_grid[i]))
-    return TestabilityReport(rejected=worst > tol, worst_violation=worst,
-                             location=location, tol=tol)
+    m = curve.m[curve.p <= tol]
+    # the largest drop m[a] - m[b] over a < b is the one from the running
+    # maximum, exactly, since rounding x - m[b] is monotone in x; fmax skips
+    # a NaN as a failed comparison would
+    drops = np.fmax.accumulate(m)[:-1] - m[1:]
+    worst = max(0.0, float(np.fmax.reduce(drops, initial=-np.inf)))
+    return TestabilityReport(rejected=worst > tol, worst_violation=worst, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -211,7 +183,7 @@ def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
     cost_grid = np.asarray(cost_grid, dtype=float)
     if cost_grid.ndim != 1 or cost_grid.size == 0:
         raise DomainError("cost grid must be a nonempty vector")
-    p_tol = table.identification_tol()
+    p_tol = identification_tol(table.n_obs)
     env = envelope_table(table, lower_support_bound)
     y = table.grid.y
     nz = table.grid.z.size

@@ -31,10 +31,17 @@ def lower_envelope(table: ConditionalCdfTable) -> np.ndarray:
     return np.flip(np.maximum.accumulate(np.flip(table.F, axis=1), axis=1), axis=1)
 
 
+def _worst_case_cdf(y: np.ndarray, F0: np.ndarray, p: np.ndarray,
+                    lower_support_bound: float) -> np.ndarray:
+    """F0 + p 1{y >= b_lower}, for F0 (..., n_y, n_z) and p (..., n_z): the cdf
+    when every sector-1 chooser sits at the lower support bound."""
+    indicator = (y >= lower_support_bound).astype(float)[:, None]
+    return F0 + p[..., None, :] * indicator
+
+
 def upper_envelope(table: ConditionalCdfTable, lower_support_bound: float = 0.0) -> np.ndarray:
     """Prefix minimum over z of the worst-case cdf F0 + p 1{y >= b_lower}."""
-    indicator = (table.grid.y >= lower_support_bound).astype(float)[:, None]
-    worst = table.F0 + table.p[None, :] * indicator
+    worst = _worst_case_cdf(table.grid.y, table.F0, table.p, lower_support_bound)
     return np.minimum.accumulate(worst, axis=1)
 
 
@@ -94,3 +101,27 @@ def sandwich(table: ConditionalCdfTable, Flow: np.ndarray, Fhigh: np.ndarray) ->
     L = np.maximum.accumulate(Flow - table.F0, axis=0)
     U = np.flip(np.minimum.accumulate(np.flip(Fhigh - table.F0, axis=0), axis=0), axis=0)
     return SandwichTable(grid=table.grid, L=L, U=U)
+
+
+def _inverse_count(values: np.ndarray, targets: np.ndarray, side: str) -> np.ndarray:
+    """Per column of stacks (..., n_y, m), the count of ``values`` <= (side
+    "lower") or < (side "upper") each of ``targets``: on non-decreasing
+    values, ``np.searchsorted`` with side "right" or "left", the grid
+    position of the generalized inverse.
+
+    A stable argsort of each column joined to its targets (timsort merges
+    the two sorted runs in linear time) counts the values ahead of each
+    target: values first for the lower side, targets first for the upper.
+    """
+    n = values.shape[-2]
+    lower = side == "lower"
+    runs = (np.swapaxes(values, -1, -2), np.swapaxes(targets, -1, -2))
+    merged = np.concatenate(runs if lower else runs[::-1], axis=-1)
+    order = np.argsort(merged.reshape(-1, 2 * n), axis=1, kind="stable")
+    # each row's targets in merged order: the k-th has k targets ahead of it
+    pos = (np.flatnonzero(order >= n if lower else order < n).reshape(-1, n)
+           - 2 * n * np.arange(len(order))[:, None])
+    found = np.empty_like(pos)
+    which = np.take_along_axis(order, pos, axis=1) - (n if lower else 0)
+    np.put_along_axis(found, which, pos - np.arange(n), axis=1)
+    return np.swapaxes(found.reshape(runs[0].shape), -1, -2)

@@ -92,10 +92,6 @@ class ConditionalCdfTable:
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
-    def identification_tol(self) -> float:
-        """Cells with F1 (or p) below this are treated as unidentified."""
-        return identification_tol(self.n_obs)
-
 
 @dataclass(frozen=True)
 class _Window:

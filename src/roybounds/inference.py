@@ -6,8 +6,8 @@ Pipeline for the lower-bound band, mirrored for the upper:
   2. build fibers G(ytilde | z, ztilde) = F(ytilde | ztilde) - F0(ytilde | z)
      for ztilde >= z and make each fiber strictly increasing by the
      epsilon-monotonization  out_k = max(raw_k, out_{k-1} + eps);
-  3. invert every fiber at x = F1(y|z) with the same right-continuous
-     convention as the envelope module's generalized inverse;
+  3. invert every fiber at x = F1(y|z) by the envelope module's inverse
+     count, the one the cost bounds invert the sandwich functions with;
   4. pairs bootstrap of whole records: each replication draws n record
      indices from its own child of the master seed, and the estimation
      module's table kernel turns that index draw into the resample's tables
@@ -37,8 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envelopes import _inverse_count, _worst_case_cdf
 from .errors import ConfigError, DomainError
-from .estimation import ConditionalCdfTable, TableKernel, estimate_tables
+from .estimation import (ConditionalCdfTable, TableKernel, estimate_tables,
+                         identification_tol)
 from .model import EvaluationGrid, ObservationSample, _philox
 from .parallel import fork_join
 
@@ -87,36 +89,19 @@ def _fiber_matrix(grid: EvaluationGrid, F: np.ndarray, F0: np.ndarray,
     """Fibers G (c, n_y, n_pairs) of a stack F, F0 (c, n_y, n_z), p (c, n_z), one
     per pair (i, j): F(.|j) - F0(.|i) (lower), F0(.|j) + p(j) 1{y >= b} - F0(.|i)."""
     i, j = np.array(_pairs(grid.z.size, side)).T
-    if side == "lower":
-        return F[..., j] - F0[..., i]
-    ind = (grid.y >= lower_support_bound).astype(float)
-    return F0[..., j] + p[..., None, j] * ind[:, None] - F0[..., i]
+    top = F if side == "lower" else _worst_case_cdf(grid.y, F0, p, lower_support_bound)
+    return top[..., j] - F0[..., i]
 
 
 def _theta(y: np.ndarray, F1: np.ndarray, Gstar: np.ndarray, side: str) -> tuple:
     """Invert the non-decreasing fiber of each pair (i, j) in Gstar at every
     F1(y|i); return theta on grid values and the inverses clamped at the
     uninformative end (target outside the fiber's range), all (c, n_y, n_pairs).
-
-    A stable argsort of each fiber joined to its targets (timsort merges the
-    two sorted runs in linear time) counts the fiber values ahead of each
-    target: fiber first is ``searchsorted(side="right")``, targets first
-    ``side="left"``.  The targets need not be sorted.
     """
     ny = y.size
     i, _ = np.array(_pairs(F1.shape[-1], side)).T
-    lower = side == "lower"
-    runs = (np.swapaxes(Gstar, -1, -2), np.swapaxes(F1[..., i], -1, -2))
-    merged = np.concatenate(runs if lower else runs[::-1], axis=-1)
-    order = np.argsort(merged.reshape(-1, 2 * ny), axis=1, kind="stable")
-    # each row's targets in merged order: the k-th has k targets ahead of it
-    pos = (np.flatnonzero(order >= ny if lower else order < ny).reshape(-1, ny)
-           - 2 * ny * np.arange(len(order))[:, None])
-    found = np.empty_like(pos)
-    which = np.take_along_axis(order, pos, axis=1) - (ny if lower else 0)
-    np.put_along_axis(found, which, pos - np.arange(ny), axis=1)
-    idx = np.swapaxes(found.reshape(runs[0].shape), -1, -2)
-    if lower:
+    idx = _inverse_count(Gstar, F1[..., i], side)
+    if side == "lower":
         return y[np.minimum(idx, ny - 1)], idx == 0
     return (y[np.where(idx >= ny, ny - 1, np.maximum(idx - 1, 0))],
             (idx == ny) | (idx == 0))
@@ -169,7 +154,6 @@ class ConfidenceBand:
     epsilon: float
     side: str
     subset_indices: tuple
-    sn: np.ndarray
     table: ConditionalCdfTable
 
 
@@ -259,11 +243,11 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid,
     Cn, Chat, se_binding, crit = clr_band(theta, draws, sn, pairs, grid, alpha,
                                           subset_indices, sample.n, side)
 
-    mask = ((table.F1 >= table.identification_tol())
+    mask = ((table.F1 >= identification_tol(table.n_obs))
             & ~np.logical_or.reduceat(clamped, _z_runs(pairs)[1], axis=1))
     return ConfidenceBand(Cn=Cn, Chat=Chat, se=se_binding,
                           critical_value=crit,
                           identified_mask=mask, alpha=alpha, B=B, seed=seed,
                           epsilon=epsilon, side=side,
                           subset_indices=tuple(int(i) for i in subset_indices),
-                          sn=sn, table=table)
+                          table=table)

@@ -6,13 +6,13 @@ data-generating processes pair lognormal potential incomes (Y0, Y1) with a
 known non-pecuniary cost C(y, z) of working in sector 1, so every estimator
 in the package can be validated against analytic ground truth.
 
-Built-in cost families:
+Built-in cost families C(y, z) = a + (1 - k) y + c y**2, with (a, k, c) at z:
 
-    pure_roy        C = 0
-    quasi_linear    C = g0(z) - g1(z)
-    multiplicative  C = y * (1 - g1(z) / g0(z))
-    quadratic       C = (eta1(z) - eta0(z) * f(z)) * y**2
-    isoelastic      C = (1 - exp((s0(z)**2 - s1(z)**2) * rho / 2)) * y
+    pure_roy        (0, 1, 0)                          C = 0
+    quasi_linear    (g0 - g1, 1, 0)                    C = g0(z) - g1(z)
+    multiplicative  (0, g1 / g0, 0)                    C = y (1 - g1(z) / g0(z))
+    quadratic       (0, 1, eta1 - eta0 f)              C = (eta1 - eta0 f)(z) y**2
+    isoelastic      (0, exp((s0**2 - s1**2) rho / 2), 0)  C = (1 - k) y
 
 Sector choice compares y1 - C(y1, z) against y0 record by record (perfect
 foresight) or compares the two conditional means given z (imperfect
@@ -368,8 +368,24 @@ class DgpSpec:
 
     # -- cost geometry --------------------------------------------------------
 
-    def cost(self, y, z):
-        return true_cost(self, y, z)
+    def _cost_coefficients(self, z) -> tuple:
+        """(a, k, c) of C(y, z) = a + (1 - k) y + c y**2, as arrays shaped like z.
+
+        The coefficients a family does not use are exact zeros and ones, so
+        its closed form adds and multiplies by them without rounding.
+        """
+        zero = np.zeros(np.shape(z))
+        one = np.ones_like(zero)
+        if self.family == "quasi_linear":
+            return self.g0(z) - self.g1(z), one, zero
+        if self.family == "multiplicative":
+            return zero, self.g1(z) / self.g0(z), zero
+        if self.family == "quadratic":
+            return zero, one, self.eta1(z) - self.eta0(z) * self.f(z)
+        if self.family == "isoelastic":
+            s0, s1 = self.sigma0(z), self.sigma1(z)
+            return zero, np.exp((s0**2 - s1**2) * self.rho / 2.0), zero
+        return zero, one, zero  # pure_roy
 
     def shifted_income(self, y, z):
         """psi_z(y) = y - C(y, z); increasing in y on the support."""
@@ -379,34 +395,17 @@ class DgpSpec:
         """Inverse of psi_z; +inf where the threshold never binds, -inf below range."""
         v = np.asarray(v, dtype=float)
         z = np.asarray(z, dtype=float)
-        if self.family == "pure_roy":
-            return v.copy()
-        if self.family == "quasi_linear":
-            return v + (self.g0(z) - self.g1(z))
-        if self.family in ("multiplicative", "isoelastic"):
-            kappa = self._linear_cost_slope(z)  # psi(y) = kappa * y, kappa in (0, 1]
-            out = np.where(v > 0, v / kappa, np.where(v < 0, -np.inf, 0.0))
-            return out
-        # quadratic: the smaller root of kap * y**2 - y + v = 0
-        kap = np.asarray(self.eta1(z) - self.eta0(z) * self.f(z), dtype=float)
-        cap = self.support_cap()
+        a, k, c = self._cost_coefficients(z)
+        if self.family != "quadratic":  # psi_z(y) = k y - a with k in (0, 1]
+            return np.where(v + a < 0, -np.inf, (v + a) / k)
+        # the smaller root of c * y**2 - y + v = 0
         with np.errstate(invalid="ignore"):
-            disc = 1.0 - 4.0 * kap * v
-            root = np.where(disc >= 0, (1.0 - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * kap), np.inf)
+            disc = 1.0 - 4.0 * c * v
+            root = np.where(disc >= 0, (1.0 - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * c), np.inf)
         out = np.where(v <= 0, np.where(v < 0, -np.inf, 0.0), root)
         # beyond the range of psi on the truncated support nothing binds
-        top = self.shifted_income(cap, z)
+        top = self.shifted_income(self.support_cap(), z)
         return np.where(v > top, np.inf, out)
-
-    def _linear_cost_slope(self, z):
-        """kappa(z) with psi_z(y) = kappa * y for the two scale families."""
-        if self.family == "multiplicative":
-            return np.asarray(self.g1(z), dtype=float) / np.asarray(self.g0(z), dtype=float)
-        if self.family == "isoelastic":
-            s0 = np.asarray(self.sigma0(z), dtype=float)
-            s1 = np.asarray(self.sigma1(z), dtype=float)
-            return np.exp((s0**2 - s1**2) * self.rho / 2.0)
-        raise InvalidDgpError("no linear cost slope for this family")
 
     def support_cap(self) -> float:
         """Almost-sure income cap (quadratic family only), inf otherwise."""
@@ -432,16 +431,11 @@ class DgpSpec:
     def mean_shifted_income(self, z):
         """E[Y1 - C(Y1, z) | z], the sector-1 attractiveness index."""
         z = np.asarray(z, dtype=float)
+        a, k, c = self._cost_coefficients(z)
         m1 = self.outcome_mean(1, z)
-        if self.family == "pure_roy":
-            return m1
-        if self.family == "quasi_linear":
-            return m1 - (self.g0(z) - self.g1(z))
-        if self.family in ("multiplicative", "isoelastic"):
-            return self._linear_cost_slope(z) * m1
-        # quadratic
-        kap = np.asarray(self.eta1(z) - self.eta0(z) * self.f(z), dtype=float)
-        return m1 - kap * self.outcome_mean(1, z, power=2)
+        if self.family == "quadratic":
+            return m1 - c * self.outcome_mean(1, z, power=2)
+        return k * m1 - a
 
     # -- serialization ---------------------------------------------------------
 
@@ -502,20 +496,9 @@ def _lognormal_moment(mu, sigma, k: int, log_cap: float = math.inf):
 def true_cost(dgp: DgpSpec, y, z):
     """Analytic cost C(y, z) of the DGP; raises if the closed form turns negative."""
     y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if dgp.family == "pure_roy":
-        return np.zeros(np.broadcast(y, z).shape) if (y.ndim or z.ndim) else np.float64(0.0)
-    if dgp.family == "quasi_linear":
-        cost = (dgp.g0(z) - dgp.g1(z)) * np.ones_like(y)
-    elif dgp.family == "multiplicative":
-        cost = y * (1.0 - dgp.g1(z) / dgp.g0(z))
-    elif dgp.family == "quadratic":
-        cost = (dgp.eta1(z) - dgp.eta0(z) * dgp.f(z)) * y**2
-    else:  # isoelastic
-        s0 = np.asarray(dgp.sigma0(z), dtype=float)
-        s1 = np.asarray(dgp.sigma1(z), dtype=float)
-        cost = (1.0 - np.exp((s0**2 - s1**2) * dgp.rho / 2.0)) * y
-    if np.any(np.asarray(cost) < -1e-12):
+    a, k, c = dgp._cost_coefficients(np.asarray(z, dtype=float))
+    cost = a + y * (1 - k) + c * y**2
+    if np.any(cost < -1e-12):
         raise InvalidDgpError("analytic cost is negative on the requested points")
     return np.maximum(cost, 0.0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import mmap
 import os
@@ -11,6 +12,7 @@ import signal
 import numpy as np
 
 _inside = False  # this process runs a range: a nested call runs serially
+_PR_SET_PDEATHSIG = 1  # prctl option: the signal sent when the parent dies
 
 
 def _width() -> int:
@@ -25,11 +27,12 @@ def fork_join(run, n: int, shape: tuple, dtype) -> np.ndarray:
 
     Each CPU past the first forks a child onto an anonymous shared mapping;
     the child runs only ``run`` on its range and leaves through ``os._exit``,
-    never returning to the caller.  The parent runs the first range, reaps
-    every child and reruns the range of one that failed (or could not be
-    forked), so an error raises as in the serial code.  If the parent's range
-    raises, an interrupt too, it kills and reaps the children first.  At
-    width 1, and inside a range, ``run(0, n, out)`` fills a plain array.
+    never returning to the caller, and dies with the parent.  The parent runs
+    the first range, reaps every child and reruns the range of one that
+    failed (or could not be forked), so an error raises as in the serial
+    code.  If the parent's range raises, an interrupt too, it kills and reaps
+    the children first.  At width 1, and inside a range, ``run(0, n, out)``
+    fills a plain array.
     """
     global _inside
     width = 1 if _inside else min(_width(), n)
@@ -49,7 +52,11 @@ def fork_join(run, n: int, shape: tuple, dtype) -> np.ndarray:
             except OSError:  # no process to spare: the parent runs this range
                 failed.append(i)
                 continue
-            if pid == 0:
+            if pid == 0:  # the kernel kills the child when the parent dies
+                with contextlib.suppress(AttributeError, OSError):  # no prctl
+                    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                if os.getppid() != parent:  # it died before prctl took hold
+                    os._exit(1)
                 _inside = True
                 run(cuts[i], cuts[i + 1], out)
                 os._exit(0)

@@ -47,44 +47,36 @@ def _pure_roy_degenerate(dgp: DgpSpec) -> bool:
             and np.allclose(dgp.sigma0(z), dgp.sigma1(z), atol=0.0))
 
 
-def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
-    """(F, F0, F1, p) at one z for a perfect-foresight DGP."""
+def _sector_cumulative(mu: float, s: float, mu_o: float, s_o: float, r: float,
+                       cap: float, bound, z: float) -> tuple:
+    """Nodes x over this sector's log income and the cumulative integral of
+    P(X in dx, X_o <= ln bound(e^x, z)), X_o the other sector's log income
+    (capped at ``cap``), conditioned on X = x through the correlation r."""
     from scipy.integrate import cumulative_simpson
     from scipy.stats import norm
 
+    x = _node_grid(mu, s, cap)
+    b = np.asarray(bound(np.exp(x), z), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ub = np.where(b > 0, np.log(np.where(b > 0, b, 1.0)), -np.inf)
+    ub = np.minimum(ub, cap)
+    m = mu_o + r * (s_o / s) * (x - mu)
+    inner = norm.cdf((ub - m) / (s_o * math.sqrt(1.0 - r * r)))
+    return x, cumulative_simpson(norm.pdf(x, loc=mu, scale=s) * inner, x=x, initial=0.0)
+
+
+def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
+    """(F, F0, F1, p) at one z for a perfect-foresight DGP."""
     mu0, mu1, s0, s1, r = *_params_at(dgp, z), dgp.outcome_corr
     if abs(r) >= 1.0:
         raise DomainError("population tables need |outcome_corr| < 1 "
                           "(except the degenerate pure_roy closed form)")
     cap = dgp._log_cap()
-    sc0 = s0 * math.sqrt(1.0 - r * r)
-    sc1 = s1 * math.sqrt(1.0 - r * r)
-
-    # sector 1 sub-distribution: integrate over x1
-    x1 = _node_grid(mu1, s1, cap)
-    y1 = np.exp(x1)
-    psi = y1 - np.asarray(dgp.cost(y1, z), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ub0 = np.where(psi > 0, np.log(np.where(psi > 0, psi, 1.0)), -np.inf)
-    ub0 = np.minimum(ub0, cap)
-    m0 = mu0 + r * (s0 / s1) * (x1 - mu1)
-    inner0 = norm.cdf((ub0 - m0) / sc0)
-    integrand1 = norm.pdf(x1, loc=mu1, scale=s1) * inner0
-    cum1 = cumulative_simpson(integrand1, x=x1, initial=0.0)
-
-    # sector 0 sub-distribution: integrate over x0; the selection event is
-    # X1 < ln psi_z^{-1}(Y0), intersected with the cap under truncation
-    x0 = _node_grid(mu0, s0, cap)
-    y0 = np.exp(x0)
-    inv = np.asarray(dgp.shifted_income_inverse(y0, z), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ub1 = np.where(inv > 0, np.log(np.where(inv > 0, inv, 1.0)), -np.inf)
-    ub1 = np.where(np.isposinf(inv), np.inf, ub1)
-    ub1 = np.minimum(ub1, cap)
-    m1 = mu1 + r * (s1 / s0) * (x0 - mu0)
-    inner1 = norm.cdf((ub1 - m1) / sc1)
-    integrand0 = norm.pdf(x0, loc=mu0, scale=s0) * inner1
-    cum0 = cumulative_simpson(integrand0, x=x0, initial=0.0)
+    # sector 1 chooses where X0 <= ln psi_z(Y1); sector 0 where X1 lies below
+    # ln psi_z^{-1}(Y0), both intersected with the cap under truncation
+    x1, cum1 = _sector_cumulative(mu1, s1, mu0, s0, r, cap, dgp.shifted_income, z)
+    x0, cum0 = _sector_cumulative(mu0, s0, mu1, s1, r, cap,
+                                  dgp.shifted_income_inverse, z)
 
     # the two sector totals partition the (possibly capped) probability mass,
     # so their sum is the exact normalizer (it is 1 up to quadrature error

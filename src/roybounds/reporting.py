@@ -280,24 +280,20 @@ class SurvivalSummary:
 
 
 def cost_survival(band: ConfidenceBand, sample: ObservationSample,
-                  thresholds_abs=None, thresholds_ratio=None,
                   z_bins=None) -> SurvivalSummary:
     """Per-individual band evaluation aggregated into exceedance curves.
 
-    Ratio thresholds compare Cn(y_i, z_i) / y_i; rows with y <= 0 are
-    excluded from the ratio denominators.  Bin b holds the records with
-    edges[b] <= z < edges[b+1], the last bin also z == edges[-1]; records
-    outside the edges fall in no bin but count in the pooled rows.  Empty
-    z-bins report NaN proportions (serialized as nulls) rather than aborting.
+    The 21 absolute thresholds run evenly from 0 to the largest band value
+    at a record, the 11 ratio thresholds from 0 to 0.5.  Ratio thresholds
+    compare Cn(y_i, z_i) / y_i; rows with y <= 0 are excluded from the ratio
+    denominators.  Bin b holds the records with edges[b] <= z < edges[b+1],
+    the last bin also z == edges[-1]; records outside the edges fall in no
+    bin but count in the pooled rows.  Empty z-bins report NaN proportions
+    (serialized as nulls) rather than aborting.
     """
     values, clamped = band_values_at(band, sample.y, sample.z)
-    if thresholds_abs is None:
-        top = float(np.nanmax(values)) if values.size else 1.0
-        thresholds_abs = np.linspace(0.0, max(top, 1e-12), 21)
-    if thresholds_ratio is None:
-        thresholds_ratio = np.linspace(0.0, 0.5, 11)
-    thresholds_abs = np.asarray(thresholds_abs, dtype=float)
-    thresholds_ratio = np.asarray(thresholds_ratio, dtype=float)
+    thresholds_abs = np.linspace(0.0, max(float(np.nanmax(values)), 1e-12), 21)
+    thresholds_ratio = np.linspace(0.0, 0.5, 11)
     if z_bins is None:
         z_bins = np.quantile(sample.z, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
     z_bins = np.asarray(z_bins, dtype=float)

@@ -18,7 +18,7 @@ from roybounds import (
     true_cost,
 )
 from roybounds import testability_if as check_testability
-from roybounds.estimation import ConditionalCdfTable
+from roybounds.estimation import ConditionalCdfTable, identification_tol
 
 from conftest import interior_grid
 from reference import check_smiv_data, lower_bound_interpolator, resimulate_sample
@@ -225,6 +225,31 @@ def test_testability_equal_m_not_rejected():
     assert not check_testability(curve).rejected
 
 
+def _pairwise_worst_drop(m):
+    """The double loop testability_if replaced: the largest m[a] - m[b], a < b."""
+    worst = 0.0
+    for a in range(m.size):
+        for b in range(a + 1, m.size):
+            if m[a] - m[b] > worst:
+                worst = m[a] - m[b]
+    return worst
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=12))
+def test_testability_running_max_equals_the_pairwise_loop(seed, n):
+    rng = np.random.default_rng(seed)
+    # a few levels of mixed magnitude: ties, and drops that round
+    levels = rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3, 4)
+    m = rng.choice(levels, n)
+    p = np.where(rng.random(n) < 0.7, 0.0, 0.3)
+    curve = if_bounds_from_moments(np.arange(n) / 10.0, m, m, p)
+    want = _pairwise_worst_drop(m[p <= 1e-9])
+    rep = check_testability(curve)
+    assert np.float64(rep.worst_violation).tobytes() == np.float64(want).tobytes()
+    assert rep.rejected == (want > 1e-9)
+
+
 # -- random-cost cdf bounds ----------------------------------------------------
 
 def point_mass_table():
@@ -340,7 +365,7 @@ def _reference_random_cost_bounds(table, cost_grid, lower_support_bound):
     y = table.grid.y
     FL = np.full((cost_grid.size, table.grid.z.size), np.nan)
     FU = FL.copy()
-    for iz in np.flatnonzero(table.p > table.identification_tol()):
+    for iz in np.flatnonzero(table.p > identification_tol(table.n_obs)):
         p = table.p[iz]
         cond = np.clip(table.F1[:, iz] / p, 0.0, 1.0)
         low = np.clip((env.Flow[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)

@@ -15,6 +15,7 @@ from roybounds import (
     sandwich,
     upper_envelope,
 )
+from roybounds.envelopes import _inverse_count
 from roybounds.estimation import ConditionalCdfTable
 
 from conftest import interior_grid
@@ -280,3 +281,30 @@ def test_inverse_near_inverts_strictly_increasing_columns():
         assert abs(got - y[k]) <= spacing + 1e-12
         got_u = generalized_inverse(y, v, float(v[k]), kind="upper")
         assert abs(got_u - y[k]) <= spacing + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
+def test_inverse_count_is_searchsorted_per_column(seed, n, m, c):
+    rng = np.random.default_rng(seed)
+    # few levels: ties among the values and between values and targets
+    values = np.sort(rng.integers(0, 5, (c, n, m)) / 4.0, axis=-2)
+    targets = rng.integers(-1, 6, (c, n, m)) / 4.0
+    y = np.arange(n, dtype=float)
+    for side, searchsorted_side in (("lower", "right"), ("upper", "left")):
+        got = _inverse_count(values, targets, side)
+        assert got.shape == values.shape
+        # the grid point each side reads off, clamped as the band clamps it
+        at = (np.minimum(got, n - 1) if side == "lower"
+              else np.where(got >= n, n - 1, np.maximum(got - 1, 0)))
+        for b in range(c):
+            for k in range(m):
+                want = np.searchsorted(values[b, :, k], targets[b, :, k],
+                                       side=searchsorted_side)
+                assert np.array_equal(got[b, :, k], want)
+                for t in range(n):
+                    assert y[at[b, t, k]] == generalized_inverse(
+                        y, values[b, :, k], targets[b, t, k], kind=side)
+        # a single table counts as its stack of one
+        assert np.array_equal(_inverse_count(values[0], targets[0], side), got[0])

@@ -89,16 +89,9 @@ def test_tables_top_pinned(quasi_sample):
 
 
 def test_identification_tol_scales():
-    from roybounds.estimation import ConditionalCdfTable
-    grid = EvaluationGrid(y=np.array([0.0, 1.0]), z=np.array([0.0, 1.0]))
-    F = np.array([[0.2, 0.2], [1.0, 1.0]])
-    F1 = np.array([[0.1, 0.1], [0.5, 0.5]])
-    pop = ConditionalCdfTable(grid=grid, F=F, F0=F - F1, F1=F1,
-                              p=np.array([0.5, 0.5]), bandwidth=None, n_obs=None)
-    est = ConditionalCdfTable(grid=grid, F=F, F0=F - F1, F1=F1,
-                              p=np.array([0.5, 0.5]), bandwidth=0.1, n_obs=2000)
-    assert pop.identification_tol() == pytest.approx(1e-6)
-    assert est.identification_tol() == pytest.approx(max(5 / 2000, 1e-3))
+    from roybounds.estimation import identification_tol
+    assert identification_tol(None) == pytest.approx(1e-6)  # a population table
+    assert identification_tol(2000) == pytest.approx(max(5 / 2000, 1e-3))
 
 
 def test_raw_estimates_can_be_nonmonotone_then_repaired():

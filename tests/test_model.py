@@ -255,6 +255,20 @@ def test_every_dgp_survives_its_json_form(family, foresight, law):
     assert DgpSpec.from_json(json.loads(json.dumps(dgp.to_json()))) == dgp
 
 
+@pytest.mark.parametrize("foresight", ["perfect", "imperfect"])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_shifted_income_inverse_undoes_shifted_income(family, foresight):
+    dgp = _FAMILIES[family](foresight=foresight)
+    z = np.linspace(0.0, 1.0, 5)
+    y = np.linspace(0.05, min(dgp.support_cap(), 20.0), 40)[:, None]
+    back = dgp.shifted_income_inverse(dgp.shifted_income(y, z), z)
+    assert back.shape == (40, 5)
+    assert np.allclose(back, y, rtol=1e-9, atol=0.0)
+    # psi_z(0) is the bottom of the range of psi_z on the support y >= 0
+    below = dgp.shifted_income(0.0, z) - np.array([1e-9, 0.1, 1.0, 5.0, 100.0])
+    assert np.all(dgp.shifted_income_inverse(below, z) == -np.inf)
+
+
 # -- stochastic monotonicity check --------------------------------------------
 
 def _probe_grids(sample, n_y=25, n_z=5):

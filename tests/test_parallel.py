@@ -1,9 +1,10 @@
 """Fork-join over the CPUs: the bootstrap and the coverage replications give
 the same bytes at any width, a failing range raises the serial error, and no
-child process outlives a call."""
+child process outlives a call or its parent."""
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -157,6 +158,49 @@ def test_a_nested_call_runs_serially(monkeypatch):
     assert np.all(out[:, 1:] == out[:, :1])
     # the flag is cleared once the call returns
     assert len(set(fork_join(inner, 2, (), np.int64))) == 2
+
+
+_SLEEP_IN_A_CHILD = """
+import os, time
+import roybounds.parallel as parallel
+parallel._width = lambda: 2
+parent = os.getpid()
+def run(lo, hi, out):
+    if os.getpid() != parent:
+        print(os.getpid(), flush=True)
+    time.sleep(60)
+parallel.fork_join(run, 2, (), float)
+"""
+
+
+def _state(pid):
+    """The state letter of a process (Z for a zombie), None once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_children_die_with_their_parent():
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    child = None
+    with subprocess.Popen([sys.executable, "-c", _SLEEP_IN_A_CHILD], env=env,
+                          stdout=subprocess.PIPE, text=True) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0], "no child reported"
+            child = int(proc.stdout.readline())
+            proc.terminate()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while _state(child) not in (None, "Z") and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _state(child) in (None, "Z")
+        finally:
+            proc.kill()
+            if child is not None and _state(child) not in (None, "Z"):
+                os.kill(child, signal.SIGKILL)
 
 
 _RUN_CLI = """

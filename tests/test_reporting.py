@@ -365,7 +365,6 @@ def _make_band(grid, Cn):
                           identified_mask=np.ones(shape, dtype=bool),
                           alpha=0.05, B=50, seed=0, epsilon=0.0,
                           side="lower", subset_indices=(0,),
-                          sn=np.zeros((shape[0], 1)),
                           table=ConditionalCdfTable(grid, *[np.zeros(shape)] * 3,
                                                     np.zeros(shape[1]),
                                                     bandwidth=0.1))
@@ -426,10 +425,12 @@ def test_survival_zero_band():
     s = ObservationSample(y=rng.uniform(1, 3, 200),
                           d=np.ones(200, dtype=np.int8),
                           z=rng.uniform(0, 1, 200))
-    summary = cost_survival(band, s, thresholds_abs=[0.0, 0.1, 1.0],
-                            thresholds_ratio=[0.0, 0.2])
-    assert np.allclose(summary.pooled_abs, [1.0, 0.0, 0.0])
-    assert np.allclose(summary.pooled_ratio, [1.0, 0.0])
+    summary = cost_survival(band, s)
+    # a zero band puts every absolute threshold past the first above it
+    assert summary.thresholds_abs[0] == 0.0
+    assert np.allclose(summary.pooled_abs, [1.0] + [0.0] * 20)
+    assert summary.thresholds_ratio[[0, 4]].tolist() == pytest.approx([0.0, 0.2])
+    assert np.allclose(summary.pooled_ratio[[0, 4]], [1.0, 0.0])
     assert np.all(summary.prop_abs[0] == 1.0)
     assert np.all(summary.prop_abs[1:] == 0.0)
 
@@ -442,9 +443,9 @@ def test_survival_quarter_ratio_fixture():
     band = _make_band(grid, np.full((2, 2), 0.8))
     s = ObservationSample(y=0.8 / per_person, d=np.ones(4, dtype=np.int8),
                           z=np.array([0.1, 0.4, 0.6, 0.9]))
-    summary = cost_survival(band, s, thresholds_abs=[0.0],
-                            thresholds_ratio=[0.4])
-    assert summary.pooled_ratio[0] == pytest.approx(0.25)
+    summary = cost_survival(band, s)
+    assert summary.thresholds_ratio[8] == pytest.approx(0.4)
+    assert summary.pooled_ratio[8] == pytest.approx(0.25)
 
 
 def test_survival_monotone_in_threshold(quasi_sample, small_grid):
@@ -465,9 +466,7 @@ def test_survival_empty_bin_is_nan_not_error(tmp_path):
     s = ObservationSample(y=np.array([1.0, 1.5, 2.5, 2.8]),
                           d=np.ones(4, dtype=np.int8),
                           z=np.array([0.1, 0.2, 0.95, 0.9]))
-    summary = cost_survival(band, s, thresholds_abs=[0.0, 1.0],
-                            thresholds_ratio=[0.1],
-                            z_bins=[0.0, 0.4, 0.7, 1.0])
+    summary = cost_survival(band, s, z_bins=[0.0, 0.4, 0.7, 1.0])
     assert summary.bin_counts == (2, 0, 2)
     assert np.all(np.isnan(summary.prop_abs[:, 1]))
     p = tmp_path / "surv.csv"
@@ -482,10 +481,10 @@ def test_survival_excludes_nonpositive_income_from_ratios():
     band = _flat_band(0.5)
     s = ObservationSample(y=np.array([0.0, 2.0]), d=np.ones(2, dtype=np.int8),
                           z=np.array([0.3, 0.6]))
-    summary = cost_survival(band, s, thresholds_abs=[0.0],
-                            thresholds_ratio=[0.1])
+    summary = cost_survival(band, s)
     assert summary.ratio_excluded == 1
-    assert summary.pooled_ratio[0] == pytest.approx(1.0)
+    assert summary.thresholds_ratio[2] == pytest.approx(0.1)
+    assert summary.pooled_ratio[2] == pytest.approx(1.0)
 
 
 def test_survival_counts_hull_clamps():
@@ -493,6 +492,5 @@ def test_survival_counts_hull_clamps():
     s = ObservationSample(y=np.array([0.5, 1.5, 5.0]),
                           d=np.ones(3, dtype=np.int8),
                           z=np.array([0.2, 0.5, 0.8]))
-    summary = cost_survival(band, s, thresholds_abs=[0.0],
-                            thresholds_ratio=[0.0])
+    summary = cost_survival(band, s)
     assert summary.clamped_count == 2
