@@ -5,8 +5,9 @@ with --bandwidth/--epsilon/--z-bins, and lower and upper on a grid whose
 bootstrap runs in more than one chunk) and coverage on the quasi-linear
 and multiplicative designs, simulate on the pure Roy, quadratic,
 isoelastic and an imperfect-foresight design (each cost family's closed
-form and both selection rules), and coverage, whose references are the
-population tables, on the quadratic and isoelastic designs, at small sizes
+form and both selection rules), coverage, whose references are the
+population tables, on the quadratic and isoelastic designs, and simulate
+and infer on a quasi-linear design with a discrete z law, at small sizes
 and fixed seeds.  Every command
 runs in OUTDIR with relative paths, so the artifacts (whose headers echo
 the resolved configuration, paths included) do not depend on where OUTDIR
@@ -48,6 +49,10 @@ SIMULATED = {
     "quasi-if": {**DESIGNS["quasi"], "foresight": "imperfect"},
 }
 COVERED = ("quad", "iso")
+# simulate and one infer on a discrete z law (ties in z), at a bandwidth that
+# leaves no kernel window of the 25x4 grid empty in any replication
+DISCRETE_Z = {"quasi-zchoice": {**DESIGNS["quasi"], "z_law": {
+    "kind": "choice", "values": [0.0, 0.25, 0.5, 0.75, 1.0]}}}
 GRID = ["--grid-y", "25", "--grid-z", "4"]
 # the last --grid-y/--grid-z flags win: at 100x6 the bootstrap's 50
 # replications run in several chunks, the last of them ragged
@@ -70,6 +75,8 @@ def commands(name: str) -> list:
                 "--bootstrap", "50", "--seed", "1", "--output", f"{name}.coverage.csv"]
     if name in SIMULATED:
         return [simulate, *([coverage] if name in COVERED else [])]
+    if name in DISCRETE_Z:
+        return [simulate, [*infer, "--bandwidth", "0.3", "--output", f"{name}.band-lower.csv"]]
     return [
         simulate,
         ["estimate", "--input", sample, *GRID, "--output", f"{name}.tables.csv"],
@@ -88,7 +95,7 @@ def main() -> int:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(args.repo.resolve() / "src")}
-    for name, dgp in {**DESIGNS, **SIMULATED}.items():
+    for name, dgp in {**DESIGNS, **SIMULATED, **DISCRETE_Z}.items():
         (args.outdir / f"{name}.json").write_text(json.dumps({"dgp": dgp}))
         for argv in commands(name):
             proc = subprocess.run([sys.executable, "-m", "roybounds.cli", *argv],

@@ -9,6 +9,11 @@ its kernel window, computed in one place (``_Window.weights``).
 ``TableKernel`` applies them as weighted cumulative sums over a y grid, for
 a sample and for any bootstrap index draw from it; ``conditional_mean``
 applies them to one response vector.
+
+The sample is sorted by z once, and each window is a contiguous range of z
+ranks.  A draw is bucketed by window once, in O(n); a column then costs
+O(m log m) in the m records of its window, plus one contiguous sum of 3n
+floats that keeps the full-length summation order of the kernel moments.
 """
 
 from __future__ import annotations
@@ -95,51 +100,69 @@ class ConditionalCdfTable:
 
 @dataclass(frozen=True)
 class _Window:
-    """One z column's kernel window over the sample records.
+    """One z column's kernel window: the z ranks [lo, hi) of the z-sorted
+    sample, with their moments w, w dz, w dz^2 and their dz = z - z0 in z
+    order.
 
-    ``slot[i]`` is 0 for a record outside the window (zero weight) and
-    k + 1 for the k-th record inside it, so ``moments[:, slot]`` gives every
-    record's w, w dz and w dz^2, and ``dz[slot]`` its z - z0.
+    The window is one contiguous rank range: dz / h is monotone in z under
+    correctly rounded arithmetic, and w > 0 exactly when fl(u^2) < 1, which
+    holds on one interval of u.  Tied z get the same weight, so a window
+    holds all of a tie or none of it.
     """
 
     z0: float
-    slot: np.ndarray
+    lo: int
+    hi: int
     moments: np.ndarray
     dz: np.ndarray
 
-    def weights(self, slots: np.ndarray, h: float) -> tuple:
-        """In-window positions ``pos`` of ``slots`` (``slot`` or a draw of it)
-        and their intercept weights ``a``; NoSupportError if the window is empty.
+    def weights(self, buf: np.ndarray, pos: np.ndarray, k: np.ndarray,
+                h: float) -> np.ndarray:
+        """Intercept weights of the in-window draw positions ``pos``, whose
+        records hold ``moments[:, k]``; NoSupportError if the window is empty.
 
-        The kernel moments sum the full-length gathered weights, in the
-        draw's pairwise summation order (``np.take`` gathers contiguous rows;
-        ``moments[:, slots]`` does not, and sums in another order).  A
-        singular design (all in-window z equal) takes the Nadaraya-Watson
-        weights w / s0.
+        The moments are scattered into ``buf`` (all zero, one column per
+        draw position) and summed there: the full-length array with +0.0
+        outside the window, in the draw's pairwise summation order.  ``buf``
+        is all zero again on return, raise or not.  A singular design (all
+        in-window z equal) takes the Nadaraya-Watson weights w / s0.
         """
-        s0, s1, s2 = np.take(self.moments, slots, axis=1).sum(axis=1).tolist()
+        mom = np.take(self.moments, k, axis=1)
+        # row by row: a 1-d scatter is several times faster than buf[:, pos]
+        try:
+            for row, m in zip(buf, mom):
+                row[pos] = m
+            s0, s1, s2 = buf.sum(axis=1).tolist()
+        finally:
+            for row in buf:
+                row[pos] = 0.0
         if s0 <= 0.0:
             raise NoSupportError(self.z0, h)
-        pos = (slots != 0).nonzero()[0]
-        k = slots[pos]
-        w = self.moments[0, k]
+        w = mom[0]
         den = s0 * s2 - s1 * s1
         if den <= _SINGULAR_REL_TOL * max(s0 * s2, s1 * s1, s0 * s0 * h * h):
-            return pos, w / s0
-        return pos, w * (s2 - s1 * self.dz[k]) / den
+            return w / s0
+        return w * (s2 - s1 * self.dz[k]) / den
 
 
-def _window(z: np.ndarray, z0: float, h: float) -> _Window:
-    dz = z - z0
-    w = epanechnikov(dz / h)
-    wdz = w * dz
-    inside = np.flatnonzero(w > 0.0)
-    slot = np.zeros(z.size, dtype=np.intp)
-    slot[inside] = np.arange(1, inside.size + 1)
-    moments = np.zeros((3, inside.size + 1))
-    moments[:, 1:] = (w[inside], wdz[inside], wdz[inside] * dz[inside])
-    return _Window(z0=z0, slot=slot, moments=moments,
-                   dz=np.concatenate(([0.0], dz[inside])))
+def _windows(z: np.ndarray, z_grid, h: float) -> tuple:
+    """A z order of the records and the kernel window of each z0.
+
+    Tied z may come in any order: every per-record quantity is looked up
+    through this same order, and no sum depends on it.
+    """
+    order = np.argsort(z)
+    zs = z[order]
+    windows = []
+    for z0 in map(float, z_grid):
+        inside = np.flatnonzero(epanechnikov((zs - z0) / h) > 0.0)
+        lo, hi = (int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0)
+        dz = zs[lo:hi] - z0
+        w = epanechnikov(dz / h)
+        wdz = w * dz
+        windows.append(_Window(z0=z0, lo=lo, hi=hi, moments=np.array([w, wdz, wdz * dz]),
+                               dz=dz))
+    return order, windows
 
 
 class TableKernel:
@@ -148,8 +171,17 @@ class TableKernel:
     A draw ``idx`` stands for the resample ``(y[idx], d[idx], z[idx])``, as a
     pairs bootstrap makes it, and None for the sample itself; ``tables``
     returns the tables of a stack of draws without building any resample.
-    The constructor ranks y once and computes the Epanechnikov weights of
-    each z column.  Per draw and column:
+    The constructor ranks y once, sorts z once and finds each z column's
+    window as a range of z ranks, with its records' y ranks and d in z
+    order.  The window bounds cut the z ranks into segments, and each record
+    carries its segment's small-int id.
+
+    Per draw, one gather of the records' z ranks and segment ids and one
+    stable (radix) argsort of the ids group the draw positions by segment,
+    in draw order within each; a window's in-window positions are then one
+    slice of that permutation (for the sample itself, the z order is that
+    permutation), and nothing per column touches all n draw positions but
+    the moment sum.  Per column:
 
     * the intercept weights come from ``_Window.weights``;
     * only the in-window records (a few percent of n at the default
@@ -159,24 +191,45 @@ class TableKernel:
     * F is pinned to 1 where y >= the largest y drawn, as the weights sum
       to one algebraically.
 
-    One ``_repair_columns`` call repairs the stack.  Every zero is +0.0.
+    So a draw costs O(n) once, and a column with m records in its window
+    O(m log m + n_y log m) plus one contiguous sum of 3n floats.  One
+    ``_repair_columns`` call repairs the stack.  Every zero is +0.0.
     """
 
     def __init__(self, sample: ObservationSample, grid: EvaluationGrid,
                  bandwidth: float | None = None):
         h = resolve_bandwidth(sample.z, bandwidth)
+        n = sample.n
         self.sample = sample
         self.grid = grid
         self.bandwidth = h
-        self._d = sample.d.astype(float)
-        order = np.argsort(sample.y, kind="stable")
+        order = np.argsort(sample.y)
         y_sorted = sample.y[order]
         self._ymax = y_sorted[-1]
-        # rank of y among the distinct values: equal y, equal rank
-        self._rank = np.empty(sample.n, dtype=np.intp)
-        self._rank[order] = np.concatenate(
-            ([0], np.cumsum(y_sorted[1:] != y_sorted[:-1])))
-        self._windows = [_window(sample.z, float(z0), h) for z0 in grid.z]
+        first = np.concatenate(([True], y_sorted[1:] != y_sorted[:-1]))
+        # rank of y among the distinct values: equal y, equal rank, in any
+        # order of the ties
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.cumsum(first) - 1
+        # a record's y is at most grid.y[i] exactly when its key
+        # rank * (n + 1) + draw position lies below _ykey[i]
+        self._ykey = np.searchsorted(y_sorted[first], grid.y, side="right") * (n + 1)
+        self._zorder, self._windows = _windows(sample.z, grid.z, h)
+        self._zrank = np.empty(n, dtype=np.intp)
+        self._zrank[self._zorder] = np.arange(n)
+        # each window's records in z order: their y rank key and d
+        inside = [self._zorder[w.lo:w.hi] for w in self._windows]
+        self._keys = [rank[r] * (n + 1) for r in inside]
+        self._ds = [sample.d[r].astype(float) for r in inside]
+        # segments: the cells that the window bounds cut the z ranks into;
+        # _starts[s] is where segment s starts in the z order.  Ids of 8 or
+        # 16 bits (up to 65 536 segments) make the stable argsort a radix sort
+        self._starts = np.unique([0, n] + [b for w in self._windows for b in (w.lo, w.hi)])
+        ids = np.arange(self._starts.size - 1)
+        self._seg = np.empty(n, dtype=np.min_scalar_type(ids[-1]))
+        self._seg[self._zorder] = np.repeat(ids, np.diff(self._starts))
+        self._spans = [np.searchsorted(self._starts, (w.lo, w.hi)) for w in self._windows]
+        self._buf = np.zeros((3, n))
 
     def tables(self, draws) -> tuple:
         """Repaired F, F0, F1 of shape (c, n_y, n_z) and p of shape (c, n_z)
@@ -188,27 +241,37 @@ class TableKernel:
 
     def _raw(self, idx) -> tuple:
         """Raw F and F1 on the grid, and p, of one draw."""
-        ymax = self._ymax if idx is None else np.max(self.sample.y[idx])
+        if idx is None:
+            ymax, zrank, by_seg, starts = self._ymax, self._zrank, self._zorder, self._starts
+        else:
+            # the one pass over the draw: z ranks, and positions by segment
+            ymax = np.max(self.sample.y[idx])
+            zrank = self._zrank[idx]
+            seg = self._seg[idx]
+            by_seg = np.argsort(seg, kind="stable")
+            counts = np.bincount(seg, minlength=self._starts.size - 1)
+            starts = np.concatenate(([0], np.cumsum(counts)))
         F, F1 = np.empty((2,) + self.grid.shape)
         p = np.empty(self.grid.z.size)
-        for j, win in enumerate(self._windows):
-            F[:, j], F1[:, j], p[j] = self._column(win, idx)
+        for j, (win, (a, b)) in enumerate(zip(self._windows, self._spans)):
+            pos = by_seg[starts[a]:starts[b]]
+            F[:, j], F1[:, j], p[j] = self._column(j, pos, zrank[pos] - win.lo)
         F[self.grid.y >= ymax] = 1.0
         return F, F1, p
 
-    def _column(self, win: _Window, idx) -> tuple:
-        """Raw F and F1 on the y grid, and p, for one z column."""
-        slots = win.slot if idx is None else win.slot[idx]
-        pos, a = win.weights(slots, self.bandwidth)
-        rec = pos if idx is None else idx[pos]
+    def _column(self, j: int, pos: np.ndarray, k: np.ndarray) -> tuple:
+        """Raw F and F1 on the y grid, and p, for z column j from its
+        in-window draw positions ``pos`` and their records' offsets ``k`` in
+        the window."""
+        a = self._windows[j].weights(self._buf, pos, k, self.bandwidth)
         # unique keys (y rank, then draw position) let the faster unstable
-        # sort give the stable order
-        order = np.argsort(self._rank[rec] * (self.sample.n + 1) + pos)
-        rec = rec[order]
+        # sort give the stable order, whatever the order of pos
+        key = self._keys[j][k] + pos
+        order = np.argsort(key)
         aw = a[order]
         cum_all = np.concatenate(([0.0], np.cumsum(aw)))
-        cum_d1 = np.concatenate(([0.0], np.cumsum(aw * self._d[rec])))
-        at = np.searchsorted(self.sample.y[rec], self.grid.y, side="right")
+        cum_d1 = np.concatenate(([0.0], np.cumsum(aw * self._ds[j][k[order]])))
+        at = np.searchsorted(key[order], self._ykey)
         return cum_all[at], cum_d1[at], float(cum_d1[-1])
 
 
@@ -243,9 +306,9 @@ def estimate_tables(sample: ObservationSample, grid: EvaluationGrid,
     One set of local linear weights is computed per z column and applied to
     every indicator response via a weighted cumulative sum over the records
     inside the column's kernel window (``TableKernel``).  The cost is one
-    O(n log n) sort of y, O(n) per z column for the weights, and
-    O(m log m + n_y log m) per column for the m in-window records, then
-    the repair of ``_repair_columns``.
+    O(n log n) sort each of y and z, O(n) per z column to find its window,
+    and O(m log m + n_y log m) per column for the m in-window records plus
+    one contiguous sum of 3n floats, then the repair of ``_repair_columns``.
     """
     kernel = TableKernel(sample, grid, bandwidth)
     F, F0, F1, p = (a[0] for a in kernel.tables([None]))  # a stack of one
@@ -269,11 +332,12 @@ def conditional_mean(sample: ObservationSample, responses: np.ndarray,
         raise DomainError("responses must align with the sample records")
     stack = responses.reshape(-1, sample.n)
     out = np.empty((len(stack), len(z_grid)))
-    for j, z0 in enumerate(np.asarray(z_grid, dtype=float)):
-        win = _window(sample.z, float(z0), h)
-        pos, a_in = win.weights(win.slot, h)
+    order, windows = _windows(sample.z, np.asarray(z_grid, dtype=float), h)
+    buf = np.zeros((3, sample.n))
+    for j, win in enumerate(windows):
+        pos = order[win.lo:win.hi]
         a = np.zeros(sample.n)
-        a[pos] = a_in
+        a[pos] = win.weights(buf, pos, np.arange(pos.size), h)
         for i, r in enumerate(stack):
             out[i, j] = float(a @ r)
     return out.reshape(responses.shape[:-1] + (len(z_grid),))

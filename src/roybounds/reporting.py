@@ -46,6 +46,8 @@ def json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()  # already JSON-safe element by element
         return [json_ready(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
@@ -170,8 +172,9 @@ def write_sample_csv(sample: ObservationSample, path, config=None) -> None:
     with handle:
         writer.writerow(["y", "d", "z", "b_lower"])
         b = fmt(sample.lower_support_bound)
-        for yi, di, zi in zip(sample.y, sample.d, sample.z):
-            writer.writerow([fmt(yi), str(int(di)), fmt(zi), b])
+        # no field needs quoting, so plain lines are the csv module's bytes
+        handle.writelines(f"{fmt(yi)},{int(di)},{fmt(zi)},{b}\n"
+                          for yi, di, zi in zip(sample.y, sample.d, sample.z))
 
 
 def _write_grid_long(path, config, y, z, names, matrices, per_z=()):

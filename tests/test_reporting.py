@@ -58,6 +58,23 @@ def test_json_ready_replaces_non_finite():
     json.dumps(out)
 
 
+@pytest.mark.parametrize("arr", [
+    np.array([1.0, math.nan, -0.0, 2.5e-300]),
+    np.array([[math.inf, 1.0], [-math.inf, math.nan]]),
+    np.array([0.5, -0.0, 1e300]),
+    np.array([[True, False], [False, True]]),
+    np.array([-3, 0, 7], dtype=np.int8),
+    np.arange(6, dtype=np.uint16).reshape(2, 3),
+    np.array([1, 2, 3], dtype=np.int64),
+    np.zeros((0, 2)),
+])
+def test_json_ready_arrays_equal_the_per_element_path(arr):
+    want = [json_ready(v) for v in arr.tolist()]
+    got = json_ready(arr)
+    assert repr(got) == repr(want)
+    assert json.dumps(got) == json.dumps(want)
+
+
 # -- sample ingestion ------------------------------------------------------------
 
 def _write(path, text):

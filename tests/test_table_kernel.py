@@ -162,6 +162,42 @@ def test_records_exactly_on_the_window_edge():
     _check(sample, mixed, h=0.3, draws=10)
 
 
+def test_tied_z_on_a_coarse_grid():
+    # z rounded to tenths: z0 = 0.5 sits on a tie, and at h = 0.2 the z = 0.3
+    # cluster lies exactly at |u| = 1 (weight 0) while z = 0.7 lies just inside
+    base = generate_sample(quasi_dgp_spec(), 2000, seed=9)
+    sample = ObservationSample(y=base.y, d=base.d, z=np.round(base.z, 1),
+                               lower_support_bound=base.lower_support_bound)
+    z0, h = 0.5, 0.2
+    assert np.unique(sample.z).size <= 11 and np.any(sample.z == z0)
+    assert np.any(sample.z == 0.3) and np.any(sample.z == 0.7)
+    u = (np.array([0.3, 0.7]) - z0) / h
+    assert epanechnikov(u)[0] == 0.0 and epanechnikov(u)[1] > 0.0
+    grid = EvaluationGrid(y=np.quantile(sample.y, np.linspace(0.05, 0.95, 30)),
+                          z=np.array([0.25, z0, 0.8]))
+    _check(sample, grid, h, draws=6, seed=9)
+
+
+def test_kernel_after_an_empty_window_draw():
+    # a draw with only z = 0.25 records empties the window at z0 = 0.75 after
+    # the first column has used the kernel's moment buffer; the next call on
+    # the same kernel must still give the reference's bytes
+    sample = _two_cluster_sample(seed=7)
+    grid = EvaluationGrid(y=np.linspace(0.5, 3.5, 20), z=np.array([0.25, 0.75]))
+    h = 0.3
+    kernel = TableKernel(sample, grid, h)
+    rng = np.random.default_rng(3)
+    low = rng.choice(np.flatnonzero(sample.z == 0.25), size=sample.n)
+    with pytest.raises(NoSupportError):
+        _reference_tables(sample, grid, h, low)
+    with pytest.raises(NoSupportError):
+        kernel.tables([low])
+    idx = [None, rng.integers(0, sample.n, size=sample.n)]
+    stack = kernel.tables(idx)
+    for b, i in enumerate(idx):
+        _assert_bitwise([a[b] for a in stack], _reference_tables(sample, grid, h, i))
+
+
 def test_grid_at_and_above_max_y():
     sample = generate_sample(quasi_dgp_spec(), 1500, seed=8)
     top = float(np.max(sample.y))
