@@ -1,14 +1,17 @@
 """Run a fixed set of CLI commands and print one sha256 per artifact.
 
-The set covers simulate, estimate, bounds --mode all, infer (lower, upper,
-with --bandwidth/--epsilon/--z-bins, and lower and upper on a grid whose
-bootstrap runs in more than one chunk) and coverage on the quasi-linear
-and multiplicative designs, simulate on the pure Roy, quadratic,
-isoelastic and an imperfect-foresight design (each cost family's closed
-form and both selection rules), coverage, whose references are the
-population tables, on the quadratic and isoelastic designs, and simulate
-and infer on a quasi-linear design with a discrete z law, at small sizes
-and fixed seeds.  Every command
+The set covers simulate, estimate, bounds (--mode all, each mode alone,
+pf at a zero crossing tolerance and random on a given cost grid), infer
+(lower, upper, with --bandwidth/--epsilon/--z-bins, at a zero crossing
+tolerance, and lower and upper on a grid whose bootstrap runs in more than
+one chunk) and coverage on the quasi-linear and multiplicative designs,
+simulate on the pure Roy, quadratic, isoelastic, an imperfect-foresight
+and a degenerate pure Roy design (each cost family's closed form and both
+selection rules), coverage, whose references are the population tables,
+on the quadratic, isoelastic, imperfect-foresight and degenerate pure Roy
+designs (every branch of the population tables), and simulate and infer
+on a quasi-linear design with a discrete z law, at small sizes and fixed
+seeds.  Every command
 runs in OUTDIR with relative paths, so the artifacts (whose headers echo
 the resolved configuration, paths included) do not depend on where OUTDIR
 lies, and two checkouts can be compared line by line:
@@ -47,8 +50,12 @@ SIMULATED = {
     "iso": {"family": "isoelastic",
             "params": {**AFFINE, "sigma0": 0.5, "sigma1": 0.7, "rho": 2.0}},
     "quasi-if": {**DESIGNS["quasi"], "foresight": "imperfect"},
+    # equal sector laws and perfectly correlated outcomes: the closed form
+    "roy-equal": {"family": "pure_roy",
+                  "params": {**AFFINE, "mu1": AFFINE["mu0"], "sigma1": AFFINE["sigma0"],
+                             "outcome_corr": 1.0}},
 }
-COVERED = ("quad", "iso")
+COVERED = ("quad", "iso", "quasi-if", "roy-equal")
 # simulate and one infer on a discrete z law (ties in z), at a bandwidth that
 # leaves no kernel window of the 25x4 grid empty in any replication
 DISCRETE_Z = {"quasi-zchoice": {**DESIGNS["quasi"], "z_law": {
@@ -57,12 +64,23 @@ GRID = ["--grid-y", "25", "--grid-z", "4"]
 # the last --grid-y/--grid-z flags win: at 100x6 the bootstrap's 50
 # replications run in several chunks, the last of them ragged
 CHUNKED = ["--grid-y", "100", "--grid-z", "6"]
+# at 60x8 the estimated envelopes cross, so a zero tolerance exits 2
+CROSSED = ["--grid-y", "60", "--grid-z", "8", "--crossing-tol", "0"]
 INFER = {
     "lower": [],
     "upper": ["--side", "upper"],
     "options": ["--bandwidth", "0.25", "--epsilon", "0.001", "--z-bins", "0.2,0.5,0.8"],
     "chunked-lower": CHUNKED,
     "chunked-upper": [*CHUNKED, "--side", "upper"],
+    "rejected": [*CROSSED, "--alpha", "0.1", "--workers", "3"],
+}
+# each bounds mode alone writes untagged artifacts
+BOUNDS = {
+    "pf": ["--mode", "pf"],
+    "if": ["--mode", "if"],
+    "random": ["--mode", "random"],
+    "pf-rejected": ["--mode", "pf", *CROSSED],
+    "random-grid": ["--mode", "random", "--cost-points", "7", "--cost-max", "2.5"],
 }
 
 
@@ -82,6 +100,8 @@ def commands(name: str) -> list:
         ["estimate", "--input", sample, *GRID, "--output", f"{name}.tables.csv"],
         ["bounds", "--input", sample, "--mode", "all", *GRID,
          "--output", f"{name}.bounds.csv"],
+        *(["bounds", "--input", sample, *GRID, *extra, "--output", f"{name}.bounds-{label}.csv"]
+          for label, extra in BOUNDS.items()),
         *([*infer, *extra, "--output", f"{name}.band-{label}.csv"]
           for label, extra in INFER.items()),
         coverage,

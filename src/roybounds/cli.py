@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,40 +45,57 @@ from .reporting import (
 )
 
 # what each field annotation admits from a config file (bool is no number
-# here), and the name of that type in an error
+# here), the name of that type in an error, and how its flag parses
 _NONE = type(None)
-_TYPES = {"int": ("an integer", (int,)), "int | None": ("an integer", (int, _NONE)),
-          "float": ("a number", (int, float)),
-          "float | None": ("a number", (int, float, _NONE)),
-          "str": ("a string", (str,)), "str | None": ("a string", (str, _NONE)),
-          "list | None": ("a list", (list, _NONE)),
-          "dict | None": ("an object", (dict, _NONE))}
+_TYPES = {"int": ("an integer", (int,), int), "int | None": ("an integer", (int, _NONE), int),
+          "float": ("a number", (int, float), float),
+          "float | None": ("a number", (int, float, _NONE), float),
+          "str": ("a string", (str,), str), "str | None": ("a string", (str, _NONE), str),
+          "list | None": ("a list", (list, _NONE), None),
+          "dict | None": ("an object", (dict, _NONE), None)}
+_MODES = ("pf", "if", "random", "all")
+_SIDES = ("lower", "upper")
+
+
+def _float_list(text: str) -> list:
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+
+
+def _key(default, help: str, commands=None, **flag):
+    """A config key that is also the flag --<name> of ``commands`` (all if None);
+    ``flag`` holds any ``choices`` or ``type`` of its own."""
+    return field(default=default, metadata={"help": help, "commands": commands, **flag})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    input: str | None = None
-    output: str | None = None
-    bandwidth: float | None = None
-    alpha: float = 0.05
-    bootstrap: int = 200
-    seed: int = 0
-    epsilon: float | None = None
-    grid_y: int = 200
-    grid_z: int = 8
-    mode: str = "pf"
-    crossing_tol: float | None = None
-    cost_points: int = 41
-    cost_max: float | None = None
-    side: str = "lower"
-    z_bins: list | None = None
-    n: int = 1000
-    reps: int = 200
+    input: str | None = _key(None, "observation CSV with columns y,d,z")
+    output: str | None = _key(None, "primary CSV artifact path")
+    bandwidth: float | None = _key(None, "kernel bandwidth for z")
+    alpha: float = _key(0.05, "band significance level")
+    bootstrap: int = _key(200, "bootstrap replications")
+    seed: int = _key(0, "master seed")
+    epsilon: float | None = _key(None, "fiber monotonization step")
+    grid_y: int = _key(200, "y grid points")
+    grid_z: int = _key(8, "z grid points")
+    mode: str = _key("pf", "bound construction (default pf)", ("bounds",), choices=_MODES)
+    crossing_tol: float | None = _key(None, "envelope crossing tolerance", ("bounds", "infer"))
+    cost_points: int = _key(41, "cost grid size for random mode", ("bounds",))
+    cost_max: float | None = _key(None, "cost grid upper end for random mode", ("bounds",))
+    side: str = _key("lower", "band side", ("infer",), choices=_SIDES)
+    z_bins: list | None = _key(None, "comma-separated z bin edges for the survival summary",
+                               ("infer",), type=_float_list)
+    n: int = _key(1000, "sample size (per replication in coverage)", ("simulate", "coverage"))
+    reps: int = _key(200, "Monte-Carlo replications", ("coverage",))
     # has no effect: the bootstrap and the coverage replications use the CPUs
     # of the affinity mask; kept so that older config files load and artifacts
     # echo the same configuration
-    workers: int | None = None
+    workers: int | None = _key(None, "ignored; accepted so older commands still run")
+    # config-file keys only
     dgp: dict | None = None
     subset_indices: list | None = None
 
@@ -86,7 +103,7 @@ class RunConfig:
         if self.output is None:
             raise ConfigError("an --output path is required")
         for f in fields(self):  # config-file values arrive untyped
-            value, (noun, kinds) = getattr(self, f.name), _TYPES[f.type]
+            value, (noun, kinds, _) = getattr(self, f.name), _TYPES[f.type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"config value {f.name} must be {noun}, got {value!r}")
         if not 0.0 < self.alpha <= 0.5:
@@ -111,9 +128,9 @@ class RunConfig:
             raise ConfigError("replication count must be at least 1")
         if self.cost_points < 2:
             raise ConfigError("cost-points must be at least 2")
-        if self.mode not in ("pf", "if", "random", "all"):
+        if self.mode not in _MODES:
             raise ConfigError(f"unknown bounds mode {self.mode!r}")
-        if self.side not in ("lower", "upper"):
+        if self.side not in _SIDES:
             raise ConfigError(f"unknown band side {self.side!r}")
         if self.z_bins is not None:
             try:
@@ -136,7 +153,7 @@ class RunConfig:
         return json_ready(out)
 
 
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
+_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 
 
 def _load_config_file(path) -> dict:
@@ -147,39 +164,18 @@ def _load_config_file(path) -> dict:
             raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - set(_DEFAULTS)
+    unknown = set(raw) - _KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     return raw
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = default
-    return RunConfig(command=args.command, **merged)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="observation CSV with columns y,d,z")
-    parser.add_argument("--output", help="primary CSV artifact path")
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--bandwidth", type=float, help="kernel bandwidth for z")
-    parser.add_argument("--alpha", type=float, help="band significance level")
-    parser.add_argument("--bootstrap", type=int, help="bootstrap replications")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--epsilon", type=float, help="fiber monotonization step")
-    parser.add_argument("--grid-y", type=int, dest="grid_y", help="y grid points")
-    parser.add_argument("--grid-z", type=int, dest="grid_z", help="z grid points")
-    parser.add_argument("--workers", type=int,
-                        help="ignored; accepted so older commands still run")
+    """Config-file values, updated by the flags that were set."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((key, flag) for key, flag in vars(args).items()
+                  if flag is not None and key not in ("command", "config"))
+    return RunConfig(command=args.command, **values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,45 +183,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="roybounds",
         description="Partial-identification bounds on sector-choice costs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("estimate", help="conditional cdf tables from a sample")
-    _add_common(p)
-
-    p = sub.add_parser("bounds", help="cost bounds from a sample")
-    _add_common(p)
-    p.add_argument("--mode", choices=["pf", "if", "random", "all"],
-                   help="bound construction (default pf)")
-    p.add_argument("--crossing-tol", type=float, dest="crossing_tol",
-                   help="envelope crossing tolerance")
-    p.add_argument("--cost-points", type=int, dest="cost_points",
-                   help="cost grid size for random mode")
-    p.add_argument("--cost-max", type=float, dest="cost_max",
-                   help="cost grid upper end for random mode")
-
-    p = sub.add_parser("infer", help="one-sided uniform confidence band")
-    _add_common(p)
-    p.add_argument("--side", choices=["lower", "upper"], help="band side")
-    p.add_argument("--crossing-tol", type=float, dest="crossing_tol",
-                   help="envelope crossing tolerance")
-    p.add_argument("--z-bins", dest="z_bins", type=_float_list,
-                   help="comma-separated z bin edges for the survival summary")
-
-    p = sub.add_parser("simulate", help="draw a sample from a configured DGP")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="sample size")
-
-    p = sub.add_parser("coverage", help="Monte-Carlo coverage study")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="per-replication sample size")
-    p.add_argument("--reps", type=int, help="Monte-Carlo replications")
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for f in fields(RunConfig):
+            flag = dict(f.metadata)
+            commands = flag.pop("commands", ())
+            if commands is None or command in commands:
+                flag.setdefault("type", _TYPES[f.type][2])
+                p.add_argument("--" + f.name.replace("_", "-"), **flag)
     return parser
-
-
-def _float_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
 def _tagged(path, tag: str) -> Path:
@@ -266,6 +233,7 @@ def _rejection_status(surface) -> int:
 
 
 def _cmd_estimate(config: RunConfig) -> int:
+    """conditional cdf tables from a sample"""
     sample = _require_input(config)
     grid = EvaluationGrid.from_sample(sample, config.grid_y, config.grid_z)
     table = estimate_tables(sample, grid, config.bandwidth)
@@ -279,6 +247,7 @@ def _cmd_estimate(config: RunConfig) -> int:
 
 
 def _cmd_bounds(config: RunConfig) -> int:
+    """cost bounds from a sample"""
     sample = _require_input(config)
     sample.require_z_variation()
     grid = EvaluationGrid.from_sample(sample, config.grid_y, config.grid_z)
@@ -326,6 +295,7 @@ def _cmd_bounds(config: RunConfig) -> int:
 
 
 def _cmd_infer(config: RunConfig) -> int:
+    """one-sided uniform confidence band"""
     sample = _require_input(config)
     sample.require_z_variation()
     grid = EvaluationGrid.from_sample(sample, config.grid_y, config.grid_z)
@@ -356,6 +326,7 @@ def _cmd_infer(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
+    """draw a sample from a configured DGP"""
     dgp = DgpSpec.from_json(config.dgp)
     sample = generate_sample(dgp, config.n, config.seed)
     echo = config.echo()
@@ -367,6 +338,7 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_coverage(config: RunConfig) -> int:
+    """Monte-Carlo coverage study"""
     dgp = DgpSpec.from_json(config.dgp)
     report = run_coverage(dgp, config.reps, config.n, alpha=config.alpha,
                           B=config.bootstrap, seed=config.seed,

@@ -510,6 +510,16 @@ def _philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _log_incomes(dgp: DgpSpec, z: np.ndarray, rng) -> tuple:
+    """One draw of the log incomes (X0, X1) at each z, correlated through r."""
+    r = dgp.outcome_corr
+    a = rng.standard_normal(z.size)
+    b = rng.standard_normal(z.size)
+    u1 = r * a + math.sqrt(max(0.0, 1.0 - r * r)) * b
+    return (np.asarray(dgp.mu0(z), dtype=float) + np.asarray(dgp.sigma0(z), dtype=float) * a,
+            np.asarray(dgp.mu1(z), dtype=float) + np.asarray(dgp.sigma1(z), dtype=float) * u1)
+
+
 def generate_sample(dgp: DgpSpec, n: int, seed) -> ObservationSample:
     """Draw n records (y, d, z), z from ``dgp.z_law``; bit-reproducible given a seed.
 
@@ -521,13 +531,7 @@ def generate_sample(dgp: DgpSpec, n: int, seed) -> ObservationSample:
         raise DomainError("sample size must be positive")
     rng = _philox(seed)
     z = dgp.z_law.draw(rng, n)
-    r = dgp.outcome_corr
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    u0 = a
-    u1 = r * a + math.sqrt(max(0.0, 1.0 - r * r)) * b
-    x0 = np.asarray(dgp.mu0(z), dtype=float) + np.asarray(dgp.sigma0(z), dtype=float) * u0
-    x1 = np.asarray(dgp.mu1(z), dtype=float) + np.asarray(dgp.sigma1(z), dtype=float) * u1
+    x0, x1 = _log_incomes(dgp, z, rng)
 
     log_cap = dgp._log_cap()
     if math.isfinite(log_cap):
@@ -536,14 +540,7 @@ def generate_sample(dgp: DgpSpec, n: int, seed) -> ObservationSample:
             bad = (x0 > log_cap) | (x1 > log_cap)
             if not np.any(bad):
                 break
-            m = int(np.sum(bad))
-            a2 = rng.standard_normal(m)
-            b2 = rng.standard_normal(m)
-            u0b = a2
-            u1b = r * a2 + math.sqrt(max(0.0, 1.0 - r * r)) * b2
-            zb = z[bad]
-            x0[bad] = np.asarray(dgp.mu0(zb), dtype=float) + np.asarray(dgp.sigma0(zb), dtype=float) * u0b
-            x1[bad] = np.asarray(dgp.mu1(zb), dtype=float) + np.asarray(dgp.sigma1(zb), dtype=float) * u1b
+            x0[bad], x1[bad] = _log_incomes(dgp, z[bad], rng)
         else:
             raise InvalidDgpError("support truncation rejects nearly all draws")
 

@@ -65,13 +65,22 @@ def _sector_cumulative(mu: float, s: float, mu_o: float, s_o: float, r: float,
     return x, cumulative_simpson(norm.pdf(x, loc=mu, scale=s) * inner, x=x, initial=0.0)
 
 
-def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
-    """(F, F0, F1, p) at one z for a perfect-foresight DGP."""
+def _column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
+    """(F0, F1, p) at one z."""
+    from scipy.stats import norm
+
     mu0, mu1, s0, s1, r = *_params_at(dgp, z), dgp.outcome_corr
+    cap = dgp._log_cap()
+    zero = np.zeros_like(log_y)
+    if dgp.foresight == "imperfect":  # everyone takes the sector of larger mean
+        if dgp.mean_shifted_income(z) >= dgp.outcome_mean(0, z):
+            return zero, _truncated_normal_cdf(log_y, mu1, s1, cap), 1.0
+        return _truncated_normal_cdf(log_y, mu0, s0, cap), zero, 0.0
+    if _pure_roy_degenerate(dgp):  # equal incomes, ties to sector 1
+        return zero, norm.cdf((log_y - mu0) / s0), 1.0
     if abs(r) >= 1.0:
         raise DomainError("population tables need |outcome_corr| < 1 "
                           "(except the degenerate pure_roy closed form)")
-    cap = dgp._log_cap()
     # sector 1 chooses where X0 <= ln psi_z(Y1); sector 0 where X1 lies below
     # ln psi_z^{-1}(Y0), both intersected with the cap under truncation
     x1, cum1 = _sector_cumulative(mu1, s1, mu0, s0, r, cap, dgp.shifted_income, z)
@@ -84,50 +93,17 @@ def _selection_column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
     normalizer = float(cum1[-1] + cum0[-1])
     F1 = np.interp(log_y, x1, cum1, left=0.0, right=float(cum1[-1])) / normalizer
     F0 = np.interp(log_y, x0, cum0, left=0.0, right=float(cum0[-1])) / normalizer
-    p = float(cum1[-1]) / normalizer
-    return F0 + F1, F0, F1, p
+    return F0, F1, float(cum1[-1]) / normalizer
 
 
 def population_tables(dgp: DgpSpec, grid: EvaluationGrid) -> ConditionalCdfTable:
     """Analytic observable tables (F, F0, F1, p) of a DGP on a grid."""
-    from scipy.stats import norm
-
-    ny, nz = grid.shape
     if np.any(grid.y <= 0):
         raise DomainError("lognormal DGPs need a positive y grid")
     log_y = np.log(grid.y)
-    F = np.empty((ny, nz))
-    F0 = np.empty((ny, nz))
-    F1 = np.empty((ny, nz))
-    p = np.empty(nz)
-
-    if dgp.foresight == "imperfect":
-        for j, z in enumerate(grid.z):
-            mu0, mu1, s0, s1 = _params_at(dgp, float(z))
-            take1 = bool(dgp.mean_shifted_income(float(z)) >= dgp.outcome_mean(0, float(z)))
-            cap = dgp._log_cap()
-            if take1:
-                F1[:, j] = _truncated_normal_cdf(log_y, mu1, s1, cap)
-                F0[:, j] = 0.0
-            else:
-                F0[:, j] = _truncated_normal_cdf(log_y, mu0, s0, cap)
-                F1[:, j] = 0.0
-            p[j] = 1.0 if take1 else 0.0
-        F = F0 + F1
-        return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p)
-
-    if _pure_roy_degenerate(dgp):
-        for j, z in enumerate(grid.z):
-            mu, _, s, _ = _params_at(dgp, float(z))
-            F1[:, j] = norm.cdf((log_y - mu) / s)
-            F0[:, j] = 0.0
-            p[j] = 1.0
-        F = F0 + F1
-        return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p)
-
-    for j, z in enumerate(grid.z):
-        F[:, j], F0[:, j], F1[:, j], p[j] = _selection_column(dgp, float(z), log_y)
-    return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p)
+    F0, F1, p = zip(*(_column(dgp, float(z), log_y) for z in grid.z))
+    F0, F1 = np.column_stack(F0), np.column_stack(F1)
+    return ConditionalCdfTable(grid=grid, F=F0 + F1, F0=F0, F1=F1, p=np.array(p))
 
 
 def _truncated_normal_cdf(x: np.ndarray, mu: float, sigma: float, cap: float) -> np.ndarray:

@@ -63,11 +63,18 @@ def json_ready(obj):
     return obj
 
 
-def _open_writer(path, config):
-    handle = open(path, "w", newline="")
-    if config is not None:
-        handle.write("# config: " + json.dumps(json_ready(config), sort_keys=True) + "\n")
-    return handle, csv.writer(handle, lineterminator="\n")
+def _echo_line(config) -> str:
+    if config is None:
+        return ""
+    return "# config: " + json.dumps(json_ready(config), sort_keys=True) + "\n"
+
+
+def _write_csv(path, config, header, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        handle.write(_echo_line(config))
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json_sidecar(csv_path, artifact: str, data: dict, config=None) -> Path:
@@ -168,9 +175,8 @@ def _raise_first_bad_row(lines, cols, error) -> None:
 
 
 def write_sample_csv(sample: ObservationSample, path, config=None) -> None:
-    handle, writer = _open_writer(path, config)
-    with handle:
-        writer.writerow(["y", "d", "z", "b_lower"])
+    with open(path, "w", newline="") as handle:
+        handle.write(_echo_line(config) + "y,d,z,b_lower\n")
         b = fmt(sample.lower_support_bound)
         # no field needs quoting, so plain lines are the csv module's bytes
         handle.writelines(f"{fmt(yi)},{int(di)},{fmt(zi)},{b}\n"
@@ -182,14 +188,13 @@ def _write_grid_long(path, config, y, z, names, matrices, per_z=()):
 
     per_z entries are (name, vector over z) appended to every row.
     """
-    handle, writer = _open_writer(path, config)
-    with handle:
-        writer.writerow(["y", "z"] + list(names) + [n for n, _ in per_z])
+    def rows():
         for iz, zv in enumerate(z):
             for iy, yv in enumerate(y):
                 row = [fmt(yv), fmt(zv)] + [fmt(m[iy, iz]) for m in matrices]
-                row += [fmt(v[iz]) for _, v in per_z]
-                writer.writerow(row)
+                yield row + [fmt(v[iz]) for _, v in per_z]
+
+    _write_csv(path, config, ["y", "z", *names, *(n for n, _ in per_z)], rows())
 
 
 def write_table_csv(table: ConditionalCdfTable, path, config=None) -> None:
@@ -206,23 +211,18 @@ def write_surface_csv(surface: BoundSurface, path, config=None) -> None:
 
 
 def write_if_curve_csv(curve: IfBoundCurve, path, config=None) -> None:
-    handle, writer = _open_writer(path, config)
-    with handle:
-        writer.writerow(["z", "m", "m0b", "p", "clow", "chigh"])
-        for k, zv in enumerate(curve.z_grid):
-            writer.writerow([fmt(zv), fmt(curve.m[k]), fmt(curve.m0b[k]),
-                             fmt(curve.p[k]), fmt(curve.Clow[k]),
-                             fmt(curve.Chigh[k])])
+    columns = (curve.z_grid, curve.m, curve.m0b, curve.p, curve.Clow, curve.Chigh)
+    _write_csv(path, config, ["z", "m", "m0b", "p", "clow", "chigh"],
+               ([fmt(v) for v in row] for row in zip(*columns)))
 
 
 def write_random_cost_csv(rc: RandomCostCdfBounds, path, config=None) -> None:
-    handle, writer = _open_writer(path, config)
-    with handle:
-        writer.writerow(["c", "z", "FL", "FU"])
+    def rows():
         for iz, zv in enumerate(rc.z_grid):
             for ic, cv in enumerate(rc.cost_grid):
-                writer.writerow([fmt(cv), fmt(zv), fmt(rc.FL[ic, iz]),
-                                 fmt(rc.FU[ic, iz])])
+                yield [fmt(cv), fmt(zv), fmt(rc.FL[ic, iz]), fmt(rc.FU[ic, iz])]
+
+    _write_csv(path, config, ["c", "z", "FL", "FU"], rows())
 
 
 def write_band_csv(band: ConfidenceBand, path, config=None) -> None:
@@ -337,22 +337,20 @@ def cost_survival(band: ConfidenceBand, sample: ObservationSample,
 
 
 def write_survival_csv(summary: SurvivalSummary, path, config=None) -> None:
-    handle, writer = _open_writer(path, config)
-    with handle:
-        writer.writerow(["kind", "threshold", "zbin", "proportion", "count"])
-        edges = summary.bin_edges
-        labels = [f"[{fmt(edges[b])},{fmt(edges[b + 1])})"
-                  for b in range(edges.size - 1)]
+    edges = summary.bin_edges
+    labels = [f"[{fmt(edges[b])},{fmt(edges[b + 1])})" for b in range(edges.size - 1)]
+
+    def rows():
         for kind, thresholds, props, pooled in (
                 ("abs", summary.thresholds_abs, summary.prop_abs, summary.pooled_abs),
                 ("ratio", summary.thresholds_ratio, summary.prop_ratio,
                  summary.pooled_ratio)):
             for it, t in enumerate(thresholds):
                 for b, label in enumerate(labels):
-                    writer.writerow([kind, fmt(t), label, fmt(props[it, b]),
-                                     str(summary.bin_counts[b])])
-                writer.writerow([kind, fmt(t), "pooled", fmt(pooled[it]),
-                                 str(summary.n_records)])
+                    yield [kind, fmt(t), label, fmt(props[it, b]), str(summary.bin_counts[b])]
+                yield [kind, fmt(t), "pooled", fmt(pooled[it]), str(summary.n_records)]
+
+    _write_csv(path, config, ["kind", "threshold", "zbin", "proportion", "count"], rows())
 
 
 def survival_to_dict(summary: SurvivalSummary) -> dict:

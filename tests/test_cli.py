@@ -1,5 +1,6 @@
 """End-to-end command tests: config layering, artifacts, exit codes."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from roybounds import ingest_csv
-from roybounds.cli import main
+from roybounds.cli import _build_parser, main
 
 from conftest import quasi_dgp_spec
 from reference import read_long_csv
@@ -48,6 +49,51 @@ def test_help_exits_zero(capsys):
 def test_no_command_is_an_error(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+# every flag of each subcommand, with an argument and the value it parses to
+_COMMON_FLAGS = {
+    "--config": ("c.json", "c.json"), "--input": ("s.csv", "s.csv"),
+    "--output": ("o.csv", "o.csv"), "--bandwidth": ("0.25", 0.25),
+    "--alpha": ("0.1", 0.1), "--bootstrap": ("60", 60), "--seed": ("3", 3),
+    "--epsilon": ("0.001", 0.001), "--grid-y": ("7", 7), "--grid-z": ("2", 2),
+    "--workers": ("3", 3),
+}
+_FLAGS = {
+    "estimate": {},
+    "bounds": {"--mode": ("if", "if"), "--crossing-tol": ("0", 0.0),
+               "--cost-points": ("7", 7), "--cost-max": ("2.5", 2.5)},
+    "infer": {"--side": ("upper", "upper"), "--crossing-tol": ("0.5", 0.5),
+              "--z-bins": ("0.1,0.2", [0.1, 0.2])},
+    "simulate": {"--n": ("50", 50)},
+    "coverage": {"--n": ("50", 50), "--reps": ("4", 4)},
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_each_subcommand_takes_exactly_its_flags(command):
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parser = subparsers.choices[command]
+    table = {**_COMMON_FLAGS, **_FLAGS[command]}
+    assert ({s for a in parser._actions for s in a.option_strings}
+            == {"-h", "--help", *table})
+    assert all(value is None for value in vars(parser.parse_args([])).values())
+    for flag, (text, value) in table.items():
+        parsed = getattr(parser.parse_args([flag, text]), flag[2:].replace("-", "_"))
+        assert parsed == value and type(parsed) is type(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--mode", "both"], ["infer", "--side", "left"],
+    ["bounds", "--side", "upper"], ["estimate", "--mode", "pf"],
+    ["simulate", "--reps", "3"], ["estimate", "--grid-y", "7.5"],
+    ["infer", "--z-bins", "0.1,x"],
+])
+def test_bad_or_foreign_flags_exit_one(tmp_path, capsys, argv):
+    assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_missing_output_is_config_error(tmp_path, capsys):
