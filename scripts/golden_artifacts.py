@@ -2,23 +2,26 @@
 
 The set covers simulate, estimate, bounds (--mode all, each mode alone,
 pf at a zero crossing tolerance and random on a given cost grid), infer
-(lower, upper, with --bandwidth/--epsilon/--z-bins, at a zero crossing
-tolerance, and lower and upper on a grid whose bootstrap runs in more than
-one chunk) and coverage on the quasi-linear and multiplicative designs,
-simulate on the pure Roy, quadratic, isoelastic, an imperfect-foresight
-and a degenerate pure Roy design (each cost family's closed form and both
+(lower, upper, with --bandwidth/--z-bins, at a zero crossing tolerance,
+and lower and upper on a grid whose bootstrap runs in more than one chunk)
+and coverage on the quasi-linear and multiplicative designs, simulate on
+the pure Roy, quadratic, isoelastic, an imperfect-foresight and a
+degenerate pure Roy design (each cost family's closed form and both
 selection rules), coverage, whose references are the population tables,
 on the quadratic, isoelastic, imperfect-foresight and degenerate pure Roy
 designs (every branch of the population tables), and simulate and infer
 on a quasi-linear design with a discrete z law, at small sizes and fixed
-seeds.  Every command
-runs in OUTDIR with relative paths, so the artifacts (whose headers echo
-the resolved configuration, paths included) do not depend on where OUTDIR
-lies, and two checkouts can be compared line by line:
+seeds.  Every command runs in OUTDIR with relative paths, so the artifacts
+(whose headers echo the resolved configuration, paths included) do not
+depend on where OUTDIR lies, and two checkouts can be compared line by
+line:
 
     python3 scripts/golden_artifacts.py PARENT_CHECKOUT /tmp/a > a.txt
     python3 scripts/golden_artifacts.py .               /tmp/b > b.txt
     diff a.txt b.txt
+
+scripts/compare_artifacts.py then says what moved in the artifacts whose
+digests differ.
 """
 
 import argparse
@@ -69,10 +72,10 @@ CROSSED = ["--grid-y", "60", "--grid-z", "8", "--crossing-tol", "0"]
 INFER = {
     "lower": [],
     "upper": ["--side", "upper"],
-    "options": ["--bandwidth", "0.25", "--epsilon", "0.001", "--z-bins", "0.2,0.5,0.8"],
+    "options": ["--bandwidth", "0.25", "--z-bins", "0.2,0.5,0.8"],
     "chunked-lower": CHUNKED,
     "chunked-upper": [*CHUNKED, "--side", "upper"],
-    "rejected": [*CROSSED, "--alpha", "0.1", "--workers", "3"],
+    "rejected": [*CROSSED, "--alpha", "0.1"],
 }
 # each bounds mode alone writes untagged artifacts
 BOUNDS = {

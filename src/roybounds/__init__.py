@@ -47,9 +47,7 @@ from .inference import (
     bootstrap_errors,
     clr_band,
     confidence_band,
-    default_epsilon,
     default_selection_subset,
-    monotonize_eps,
 )
 from .model import (
     DgpSpec,
@@ -85,7 +83,7 @@ __all__ = [
     "ConditionalCdfTable", "conditional_mean", "estimate_tables",
     "silverman_bandwidth",
     "ConfidenceBand", "bootstrap_errors", "clr_band", "confidence_band",
-    "default_epsilon", "default_selection_subset", "monotonize_eps",
+    "default_selection_subset",
     "DgpSpec", "EvaluationGrid", "ObservationSample", "ZLaw",
     "generate_sample", "true_cost",
     "population_tables",

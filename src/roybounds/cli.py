@@ -79,7 +79,6 @@ class RunConfig:
     alpha: float = _key(0.05, "band significance level")
     bootstrap: int = _key(200, "bootstrap replications")
     seed: int = _key(0, "master seed")
-    epsilon: float | None = _key(None, "fiber monotonization step")
     grid_y: int = _key(200, "y grid points")
     grid_z: int = _key(8, "z grid points")
     mode: str = _key("pf", "bound construction (default pf)", ("bounds",), choices=_MODES)
@@ -91,10 +90,6 @@ class RunConfig:
                                ("infer",), type=_float_list)
     n: int = _key(1000, "sample size (per replication in coverage)", ("simulate", "coverage"))
     reps: int = _key(200, "Monte-Carlo replications", ("coverage",))
-    # has no effect: the bootstrap and the coverage replications use the CPUs
-    # of the affinity mask; kept so that older config files load and artifacts
-    # echo the same configuration
-    workers: int | None = _key(None, "ignored; accepted so older commands still run")
     # config-file keys only
     dgp: dict | None = None
     subset_indices: list | None = None
@@ -116,8 +111,8 @@ class RunConfig:
             raise ConfigError("grid-y must be at least 2")
         if self.grid_z < 1:
             raise ConfigError("grid-z must be at least 1")
-        for key, sign in (("bandwidth", "positive"), ("epsilon", "nonnegative"),
-                          ("crossing_tol", "nonnegative"), ("cost_max", "positive")):
+        for key, sign in (("bandwidth", "positive"), ("crossing_tol", "nonnegative"),
+                          ("cost_max", "positive")):
             value = getattr(self, key)  # each comparison is false for NaN
             if value is not None and not (value < np.inf and (
                     value > 0.0 or value == 0.0 and sign == "nonnegative")):
@@ -302,7 +297,6 @@ def _cmd_infer(config: RunConfig) -> int:
     echo = config.echo()
     band = confidence_band(sample, grid, config.bandwidth, alpha=config.alpha,
                            B=config.bootstrap, seed=config.seed,
-                           epsilon=config.epsilon,
                            subset_indices=config.subset_indices, side=config.side)
     surface = cost_bounds_pf(band.table, sample.lower_support_bound,
                              crossing_tol=_crossing_tol(config, sample.n))
@@ -312,7 +306,7 @@ def _cmd_infer(config: RunConfig) -> int:
         "estimate": band.Chat, "se": band.se,
         "critical_value": band.critical_value,
         "identified": band.identified_mask, "alpha": band.alpha,
-        "B": band.B, "seed": band.seed, "epsilon": band.epsilon,
+        "B": band.B, "seed": band.seed,
         "bandwidth": band.table.bandwidth, "side": band.side,
         "subset_indices": list(band.subset_indices),
         "crossing_rejected": surface.rejected}, echo)
@@ -342,7 +336,7 @@ def _cmd_coverage(config: RunConfig) -> int:
     dgp = DgpSpec.from_json(config.dgp)
     report = run_coverage(dgp, config.reps, config.n, alpha=config.alpha,
                           B=config.bootstrap, seed=config.seed,
-                          bandwidth=config.bandwidth, epsilon=config.epsilon)
+                          bandwidth=config.bandwidth)
     echo = config.echo()
     write_coverage_csv(report, config.output, echo)
     write_json_sidecar(config.output, "coverage_report", report.to_dict(), echo)

@@ -80,8 +80,7 @@ def default_coverage_grid(dgp: DgpSpec, seed: int) -> EvaluationGrid:
 
 def run_coverage(dgp: DgpSpec, reps: int, n: int, alpha: float = 0.05,
                  B: int = 200, seed: int = 0,
-                 bandwidth: float | None = None,
-                 epsilon: float | None = None) -> CoverageReport:
+                 bandwidth: float | None = None) -> CoverageReport:
     """Lower-band coverage on ``default_coverage_grid``, with a slack of 1e-9."""
     if reps < 1:
         raise ConfigError(f"replication count must be at least 1, got {reps}")
@@ -97,8 +96,7 @@ def run_coverage(dgp: DgpSpec, reps: int, n: int, alpha: float = 0.05,
             sample_seed, boot_seed = np.random.SeedSequence([seed, r]).spawn(2)
             sample = generate_sample(dgp, n, sample_seed)
             band = confidence_band(sample, grid, bandwidth=bandwidth, alpha=alpha,
-                                   B=B, seed=int(boot_seed.generate_state(1)[0]),
-                                   epsilon=epsilon)
+                                   B=B, seed=int(boot_seed.generate_state(1)[0]))
             valid = surface.identified_mask & band.identified_mask
             out[r] = (valid, valid & (band.Cn <= surface.Clow + slack),
                       valid & (band.Cn <= truth + slack))

@@ -4,8 +4,12 @@ Pipeline for the lower-bound band, mirrored for the upper:
 
   1. estimate conditional cdf tables on the grid;
   2. build fibers G(ytilde | z, ztilde) = F(ytilde | ztilde) - F0(ytilde | z)
-     for ztilde >= z and make each fiber strictly increasing by the
-     epsilon-monotonization  out_k = max(raw_k, out_{k-1} + eps);
+     for ztilde >= z and make each fiber non-decreasing in ytilde by its
+     running max, the lower sandwich's own rule.  A flat stretch stays flat,
+     so a fiber that ties with its target inverts past y as the sharp bound
+     does: the lower band's point estimate, floored at 0, is the pf lower
+     bound on the cells both identify.  The upper fibers take the same
+     running max, not the upper sandwich's running min from above;
   3. invert every fiber at x = F1(y|z) by the envelope module's inverse
      count, the one the cost bounds invert the sandwich functions with;
   4. pairs bootstrap of whole records: each replication draws n record
@@ -50,26 +54,6 @@ SE_FLOOR = 1e-8
 _CHUNK_ENTRIES = 2 ** 15
 
 
-def monotonize_eps(values: np.ndarray, eps: float) -> np.ndarray:
-    """Strict monotonization in y: out[k] = max(values[k], out[k-1] + eps).
-
-    Equivalent closed form eps*k + running max of (values[k] - eps*k),
-    which vectorizes.  Works columnwise on matrices and stacks of them, in
-    which y is axis -2.
-    """
-    values = np.asarray(values, dtype=float)
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
-    cols = values[:, None] if values.ndim == 1 else values
-    drift = eps * np.arange(cols.shape[-2])[:, None]
-    return (drift + np.maximum.accumulate(cols - drift, axis=-2)).reshape(values.shape)
-
-
-def default_epsilon(G: np.ndarray) -> float:
-    span = float(np.max(G) - np.min(G)) if G.size else 0.0
-    return 1e-4 * span
-
-
 def _pairs(nz: int, side: str) -> tuple:
     if side == "lower":
         return tuple((i, j) for i in range(nz) for j in range(i, nz))
@@ -108,15 +92,15 @@ def _theta(y: np.ndarray, F1: np.ndarray, Gstar: np.ndarray, side: str) -> tuple
 
 
 def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
-                     bandwidth: float, epsilon: float, B: int = 200,
-                     seed: int = 0, side: str = "lower") -> tuple:
+                     bandwidth: float, B: int = 200, seed: int = 0,
+                     side: str = "lower") -> tuple:
     """Pairs bootstrap of the fiber inverses; returns (sn, draws).
 
     Replications resample whole (y, d, z) records, keeping their dependence.
     Replication b draws n record indices from the b-th child of the master
     seed; the table kernel estimates that resample's tables from the index
-    draw alone, with the full sample's bandwidth and epsilon.  Each CPU's
-    range runs in chunks that are repaired, fibered and inverted as one stack.
+    draw alone, with the full sample's bandwidth.  Each CPU's range runs in
+    chunks that are repaired, fibered and inverted as one stack.
     """
     if B < 50:
         raise ConfigError(f"need at least 50 bootstrap replications, got {B}")
@@ -131,8 +115,7 @@ def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
             F, F0, F1, p = kernel.tables(_philox(s).integers(0, sample.n, size=sample.n)
                                          for s in seeds[a:b])
             G = _fiber_matrix(grid, F, F0, p, side, sample.lower_support_bound)
-            G = monotonize_eps(G, epsilon)
-            draws[a:b] = _theta(grid.y, F1, G, side)[0]
+            draws[a:b] = _theta(grid.y, F1, np.maximum.accumulate(G, axis=-2), side)[0]
 
     draws = fork_join(run, B, shape, float)
     sn = np.maximum(np.std(draws, axis=0, ddof=1), SE_FLOOR)
@@ -151,7 +134,6 @@ class ConfidenceBand:
     alpha: float
     B: int
     seed: int
-    epsilon: float
     side: str
     subset_indices: tuple
     table: ConditionalCdfTable
@@ -220,24 +202,21 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
 
 def confidence_band(sample: ObservationSample, grid: EvaluationGrid,
                     bandwidth: float | None = None, alpha: float = 0.05,
-                    B: int = 200, seed: int = 0, epsilon: float | None = None,
-                    subset_indices=None, side: str = "lower") -> ConfidenceBand:
+                    B: int = 200, seed: int = 0, subset_indices=None,
+                    side: str = "lower") -> ConfidenceBand:
     """End-to-end band construction from a sample.
 
     The sample's tables are estimated here, once, and kept on the band as
-    ``table``.  Their fiber matrix gives both the default epsilon and the
-    point estimate; the bootstrap reuses the tables' bandwidth.
+    ``table``.  Their fiber matrix gives the point estimate; the bootstrap
+    reuses the tables' bandwidth.
     """
     table = estimate_tables(sample, grid, bandwidth)
     F, F0, F1, p = (a[None] for a in (table.F, table.F0, table.F1, table.p))
     G = _fiber_matrix(grid, F, F0, p, side, sample.lower_support_bound)
-    if epsilon is None:
-        epsilon = default_epsilon(G)
-    Gstar = monotonize_eps(G, epsilon)
+    Gstar = np.maximum.accumulate(G, axis=-2)
     theta, clamped = (a[0] for a in _theta(grid.y, F1, Gstar, side))
     pairs = _pairs(grid.z.size, side)
-    sn, draws = bootstrap_errors(sample, grid, table.bandwidth, epsilon, B, seed,
-                                 side=side)
+    sn, draws = bootstrap_errors(sample, grid, table.bandwidth, B, seed, side=side)
     if subset_indices is None:
         subset_indices = default_selection_subset(grid.y, sample.y)
     Cn, Chat, se_binding, crit = clr_band(theta, draws, sn, pairs, grid, alpha,
@@ -247,7 +226,6 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid,
             & ~np.logical_or.reduceat(clamped, _z_runs(pairs)[1], axis=1))
     return ConfidenceBand(Cn=Cn, Chat=Chat, se=se_binding,
                           critical_value=crit,
-                          identified_mask=mask, alpha=alpha, B=B, seed=seed,
-                          epsilon=epsilon, side=side,
+                          identified_mask=mask, alpha=alpha, B=B, seed=seed, side=side,
                           subset_indices=tuple(int(i) for i in subset_indices),
                           table=table)

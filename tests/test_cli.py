@@ -56,8 +56,7 @@ _COMMON_FLAGS = {
     "--config": ("c.json", "c.json"), "--input": ("s.csv", "s.csv"),
     "--output": ("o.csv", "o.csv"), "--bandwidth": ("0.25", 0.25),
     "--alpha": ("0.1", 0.1), "--bootstrap": ("60", 60), "--seed": ("3", 3),
-    "--epsilon": ("0.001", 0.001), "--grid-y": ("7", 7), "--grid-z": ("2", 2),
-    "--workers": ("3", 3),
+    "--grid-y": ("7", 7), "--grid-z": ("2", 2),
 }
 _FLAGS = {
     "estimate": {},
@@ -88,7 +87,7 @@ def test_each_subcommand_takes_exactly_its_flags(command):
     ["bounds", "--mode", "both"], ["infer", "--side", "left"],
     ["bounds", "--side", "upper"], ["estimate", "--mode", "pf"],
     ["simulate", "--reps", "3"], ["estimate", "--grid-y", "7.5"],
-    ["infer", "--z-bins", "0.1,x"],
+    ["infer", "--z-bins", "0.1,x"], ["infer", "--epsilon", "0"], ["infer", "--workers", "3"],
 ])
 def test_bad_or_foreign_flags_exit_one(tmp_path, capsys, argv):
     assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 1
@@ -111,7 +110,7 @@ def test_bad_alpha_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize("key", ["bandwidth", "epsilon", "crossing_tol"])
+@pytest.mark.parametrize("key", ["bandwidth", "crossing_tol"])
 @pytest.mark.parametrize("form", ["flag", "config"])
 def test_non_finite_tuning_values_are_config_errors(tmp_path, capsys, form, key, value):
     sample = _simulated(tmp_path, n=400)
@@ -145,7 +144,7 @@ def test_bad_cost_max_is_a_config_error(tmp_path, capsys, form, value):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("infer", "bandwidth", "abc"), ("infer", "alpha", "0.1"), ("infer", "epsilon", "0"),
+    ("infer", "bandwidth", "abc"), ("infer", "alpha", "0.1"), ("infer", "crossing_tol", "0"),
     ("bounds", "grid_y", "20"), ("bounds", "cost_points", "5"), ("bounds", "grid_y", 20.5),
     ("infer", "bootstrap", 50.5), ("infer", "seed", "1"), ("bounds", "cost_max", "x"),
     ("bounds", "grid_z", True), ("infer", "alpha", None), ("bounds", "crossing_tol", [0.1]),
@@ -166,7 +165,7 @@ def test_numeric_config_values_accept_json_numbers(tmp_path):
     sample = _simulated(tmp_path, n=400)
     out = tmp_path / "rc.csv"
     config = _config_file(tmp_path, cost_max=2, alpha=0.1, grid_y=20, grid_z=4,
-                          cost_points=5, seed=3, workers=None)
+                          cost_points=5, seed=3)
     assert main(["bounds", "--mode", "random", "--input", sample, "--output", str(out),
                  "--config", config]) == 0
     assert np.unique(read_long_csv(out)[0]["c"]).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -224,12 +223,14 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command, form):
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"alfa": 0.05}))
-    code = main(["estimate", "--config", str(path),
-                 "--output", str(tmp_path / "t.csv")])
-    assert code == 1
-    assert "alfa" in capsys.readouterr().err
+    # a misspelt key, and two retired keys that old config files may carry
+    for key, value in (("alfa", 0.05), ("epsilon", 0), ("workers", 3)):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        code = main(["estimate", "--config", str(path),
+                     "--output", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown config key(s): {key}\n"
 
 
 def test_missing_input_file_is_an_error(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Every name a module imports is used in that module, every top-level
 function and class and every method of such a class is used by the package
 or by a script, no module imports a sibling inside a function, the export
-list matches the package imports, and the CLI runs its commands without
-importing scipy."""
+list matches the package imports, the CLI runs its commands without
+importing scipy, and README's library quickstart runs as written."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,3 +127,10 @@ def test_cli_commands_import_no_scipy(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_readme_quickstart_runs():
+    # the first python block of README, verbatim, asserts what it shows
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,6 +1,4 @@
-"""Band construction: monotonization, fiber inversion, bootstrap, CLR step."""
-
-import json
+"""Band construction: fibers, their inversion, bootstrap, CLR step."""
 
 import numpy as np
 import pytest
@@ -8,22 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roybounds import (
+    DgpSpec,
     EvaluationGrid,
     ObservationSample,
     bootstrap_errors,
     clr_band,
     confidence_band,
     cost_bounds_pf,
-    default_epsilon,
     default_selection_subset,
     estimate_tables,
     generate_sample,
-    monotonize_eps,
     population_tables,
     write_sample_csv,
 )
 from roybounds.cli import main
-from roybounds.errors import ConfigError, DomainError
+from roybounds.errors import ConfigError
 from roybounds.estimation import identification_tol
 from roybounds.inference import (
     SE_FLOOR,
@@ -32,54 +29,8 @@ from roybounds.inference import (
     _theta,
 )
 
-from conftest import interior_grid
+from conftest import interior_grid, quasi_dgp_spec
 from reference import generalized_inverse, searchsorted_theta
-
-
-# -- strict monotonization -------------------------------------------------------
-
-def test_monotonize_dip_filled():
-    out = monotonize_eps(np.array([0.2, 0.1, 0.3]), 0.001)
-    assert np.allclose(out, [0.2, 0.201, 0.3], atol=1e-15)
-
-
-def test_monotonize_constant_ramps():
-    c = 0.45
-    out = monotonize_eps(np.array([c, c, c]), 0.001)
-    assert np.allclose(out, [c, c + 0.001, c + 0.002], atol=1e-15)
-
-
-def test_monotonize_leaves_steep_input_alone():
-    v = np.array([0.0, 0.1, 0.25, 0.7])
-    assert np.array_equal(monotonize_eps(v, 1e-3), v)
-
-
-def test_monotonize_negative_eps_rejected():
-    with pytest.raises(DomainError):
-        monotonize_eps(np.array([0.0, 1.0]), -1e-9)
-
-
-def test_monotonize_matrix_is_columnwise():
-    m = np.column_stack([[0.2, 0.1, 0.3], [0.0, 0.0, 0.0]])
-    out = monotonize_eps(m, 0.001)
-    assert np.allclose(out[:, 0], monotonize_eps(m[:, 0], 0.001))
-    assert np.allclose(out[:, 1], monotonize_eps(m[:, 1], 0.001))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-5, 5), min_size=1, max_size=12),
-       st.floats(0, 0.5))
-def test_monotonize_matches_recursion(raw, eps):
-    raw = np.asarray(raw)
-    out = monotonize_eps(raw, eps)
-    ref = np.empty_like(raw)
-    acc = -np.inf
-    for k, v in enumerate(raw):
-        acc = v if acc == -np.inf else max(v, acc + eps)
-        ref[k] = acc
-    assert np.allclose(out, ref, atol=1e-12)
-    assert np.all(np.diff(out) >= eps - 1e-12)
-    assert np.all(out >= raw - 1e-15)
 
 
 # -- fiber table -----------------------------------------------------------------
@@ -119,8 +70,6 @@ def test_upper_side_fibers_carry_support_mass(quasi_sample, small_grid):
 
 def test_fibers_agree_when_outcome_ignores_z(pure_roy_dgp):
     # no z in the outcome law, so every ztilde fiber estimates the same curve
-    from roybounds import DgpSpec
-
     dgp = DgpSpec.pure_roy((0.3, 0.0), (0.5, 0.0))
     s = generate_sample(dgp, 20_000, seed=5)
     grid = EvaluationGrid(y=np.quantile(s.y, np.linspace(0.05, 0.95, 25)),
@@ -134,12 +83,6 @@ def test_fibers_agree_when_outcome_ignores_z(pure_roy_dgp):
         block = G[:, cols]
         spread = np.max(block, axis=1) - np.min(block, axis=1)
         assert np.max(spread) < 0.06
-
-
-def test_default_epsilon_scales_with_range():
-    G = np.array([[0.0, 2.0], [1.0, 3.0]])
-    assert default_epsilon(G) == pytest.approx(1e-4 * 3.0)
-    assert default_epsilon(np.zeros((2, 2))) == 0.0
 
 
 # -- fiber inversion -------------------------------------------------------------
@@ -223,7 +166,7 @@ def test_theta_below_fiber_minimum_clamps_low():
 
 def _population_theta(t):
     G = _fiber_matrix(t.grid, t.F, t.F0, t.p, "lower", 0.0)
-    theta, _ = _theta(t.grid.y, t.F1, monotonize_eps(G, 0.0), "lower")
+    theta, _ = _theta(t.grid.y, t.F1, np.maximum.accumulate(G, axis=-2), "lower")
     return _pairs(t.grid.z.size, "lower"), theta
 
 
@@ -267,37 +210,17 @@ def _tiny_sample(n=60):
 
 def test_bootstrap_needs_fifty_replications(small_grid):
     with pytest.raises(ConfigError):
-        bootstrap_errors(_tiny_sample(), small_grid, 0.3, 1e-4, B=49)
+        bootstrap_errors(_tiny_sample(), small_grid, 0.3, B=49)
 
 
 def test_bootstrap_same_seed_reproduces(small_grid):
     s = _tiny_sample()
-    sn_a, draws_a = bootstrap_errors(s, small_grid, 0.3, 1e-4, B=50, seed=4)
-    sn_b, draws_b = bootstrap_errors(s, small_grid, 0.3, 1e-4, B=50, seed=4)
+    sn_a, draws_a = bootstrap_errors(s, small_grid, 0.3, B=50, seed=4)
+    sn_b, draws_b = bootstrap_errors(s, small_grid, 0.3, B=50, seed=4)
     assert np.array_equal(sn_a, sn_b)
     assert np.array_equal(draws_a, draws_b)
-    sn_c, _ = bootstrap_errors(s, small_grid, 0.3, 1e-4, B=50, seed=5)
+    sn_c, _ = bootstrap_errors(s, small_grid, 0.3, B=50, seed=5)
     assert not np.array_equal(sn_a, sn_c)
-
-
-def test_bootstrap_worker_count_does_not_change_draws(tmp_path):
-    # --workers and the workers config key are accepted and have no effect
-    s = _tiny_sample(400)
-    sample_csv = tmp_path / "sample.csv"
-    write_sample_csv(s, sample_csv, {})
-    config = tmp_path / "config.json"
-    config.write_text('{"workers": 3}')
-    runs = {"none": [], "flag": ["--workers", "4"], "config": ["--config", str(config)]}
-    bands = {}
-    for name, extra in runs.items():
-        out = tmp_path / f"{name}.csv"
-        code = main(["infer", "--input", str(sample_csv), "--output", str(out),
-                     "--bootstrap", "50", "--grid-y", "15", "--grid-z", "3",
-                     "--bandwidth", "0.3", "--seed", "4"] + extra)
-        assert code in (0, 2)
-        bands[name] = json.loads(out.with_suffix(".json").read_text())["data"]
-    assert bands["flag"] == bands["none"]
-    assert bands["config"] == bands["none"]
 
 
 def test_infer_estimates_the_table_and_its_fibers_once(tmp_path, monkeypatch):
@@ -337,7 +260,7 @@ def test_degenerate_sample_hits_se_floor():
     s = ObservationSample(y=np.full(n, 2.0), d=np.ones(n, dtype=np.int8),
                           z=np.full(n, 0.5))
     grid = EvaluationGrid(y=np.array([1.0, 2.0, 3.0]), z=np.array([0.5]))
-    sn, _ = bootstrap_errors(s, grid, 0.25, 0.0, B=50, seed=0)
+    sn, _ = bootstrap_errors(s, grid, 0.25, B=50, seed=0)
     assert np.all(sn == SE_FLOOR)
 
 
@@ -346,7 +269,7 @@ def test_bootstrap_errors_shrink_with_n(quasi_dgp):
     med = []
     for n in (2_000, 8_000, 32_000):
         s = generate_sample(quasi_dgp, n, seed=31)
-        sn, _ = bootstrap_errors(s, grid, 0.2, 1e-4, B=60, seed=2)
+        sn, _ = bootstrap_errors(s, grid, 0.2, B=60, seed=2)
         med.append(float(np.median(sn)))
     assert med[0] > med[1] > med[2]
 
@@ -376,6 +299,24 @@ def test_upper_band_sits_above_point_estimate(quasi_sample, small_grid):
     band = confidence_band(quasi_sample, small_grid, bandwidth=0.2, B=50,
                            seed=3, side="upper")
     assert np.all(band.Cn >= band.Chat - 1e-12)
+
+
+# pure Roy with independent sector outcomes: every cost is zero
+_INDEPENDENT_ROY = DgpSpec(family="pure_roy", mu0=(0.0, 0.3), mu1=(0.2, 0.5),
+                           sigma0=0.6, sigma1=0.7, outcome_corr=0.0)
+
+
+@pytest.mark.parametrize("dgp", [quasi_dgp_spec(), _INDEPENDENT_ROY], ids=["quasi", "roy"])
+def test_lower_band_estimate_is_the_sharp_lower_bound(dgp):
+    # on the CLI grid, where F1 is flat over many y steps, a fiber that ties
+    # with its target must invert past y as the sandwich does
+    sample = generate_sample(dgp, 2000, seed=11)
+    grid = EvaluationGrid.from_sample(sample, 200, 8)
+    band = confidence_band(sample, grid, B=50, seed=11)
+    surface = cost_bounds_pf(band.table, sample.lower_support_bound)
+    both = band.identified_mask & surface.identified_mask
+    assert both.sum() > 1000
+    assert np.maximum(band.Chat, 0.0)[both].tobytes() == surface.Clow[both].tobytes()
 
 
 def test_band_monotone_in_alpha(quasi_sample, small_grid):

@@ -47,7 +47,7 @@ def test_bootstrap_is_byte_equal_at_every_width(monkeypatch, side):
     runs = {}
     for width in (1, 2, 3):
         _at_width(monkeypatch, width)
-        runs[width] = bootstrap_errors(sample, grid, 0.2, 1e-4, B=B, seed=17, side=side)
+        runs[width] = bootstrap_errors(sample, grid, 0.2, B=B, seed=17, side=side)
     for width in (2, 3):
         for got, want in zip(runs[width], runs[1]):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

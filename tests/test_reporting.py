@@ -380,7 +380,7 @@ def _make_band(grid, Cn):
     return ConfidenceBand(Cn=Cn, Chat=Cn.copy(),
                           se=np.zeros(shape), critical_value=0.0,
                           identified_mask=np.ones(shape, dtype=bool),
-                          alpha=0.05, B=50, seed=0, epsilon=0.0,
+                          alpha=0.05, B=50, seed=0,
                           side="lower", subset_indices=(0,),
                           table=ConditionalCdfTable(grid, *[np.zeros(shape)] * 3,
                                                     np.zeros(shape[1]),

@@ -33,8 +33,6 @@ from roybounds.inference import (
     _pairs,
     _theta,
     bootstrap_errors,
-    default_epsilon,
-    monotonize_eps,
 )
 from roybounds.model import _philox
 
@@ -242,14 +240,10 @@ def test_bootstrap_draws_equal_the_resampling_path():
         # the replications span several chunks, the last of them ragged
         chunk = _CHUNK_ENTRIES // (grid.y.size * len(_pairs(grid.z.size, side)))
         assert chunk < B and B % chunk
-        F, F0, F1, p = reference_stack()
-        eps = default_epsilon(_fiber_matrix(grid, F, F0, p, side, lsb))
-        assert default_epsilon(_fiber_matrix(grid, table.F[None], table.F0[None],
-                                             table.p[None], side, lsb)) == eps
-        _, draws = bootstrap_errors(sample, grid, h, eps, B=B, seed=seed, side=side)
+        _, draws = bootstrap_errors(sample, grid, h, B=B, seed=seed, side=side)
         for b, (F, F0, F1, p) in enumerate(replications):
             G = _fiber_matrix(grid, F, F0, p, side, lsb)
-            theta, _ = _theta(grid.y, F1, monotonize_eps(G, eps), side)
+            theta, _ = _theta(grid.y, F1, np.maximum.accumulate(G, axis=-2), side)
             assert np.array_equal(draws[b], theta[0]), (side, b)
 
 
