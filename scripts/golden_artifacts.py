@@ -9,12 +9,13 @@ the pure Roy, quadratic, isoelastic, an imperfect-foresight and a
 degenerate pure Roy design (each cost family's closed form and both
 selection rules), coverage, whose references are the population tables,
 on the quadratic, isoelastic, imperfect-foresight and degenerate pure Roy
-designs (every branch of the population tables), and simulate and infer
-on a quasi-linear design with a discrete z law, at small sizes and fixed
-seeds.  Every command runs in OUTDIR with relative paths, so the artifacts
-(whose headers echo the resolved configuration, paths included) do not
-depend on where OUTDIR lies, and two checkouts can be compared line by
-line:
+designs (every branch of the population tables), simulate and infer
+on a quasi-linear design with a discrete z law, and infer on both sides
+on a quasi-linear sample whose y are rounded to tenths (ties inside every
+kernel window), at small sizes and fixed seeds.  Every command runs in
+OUTDIR with relative paths, so the artifacts (whose headers echo the
+resolved configuration, paths included) do not depend on where OUTDIR
+lies, and two checkouts can be compared line by line:
 
     python3 scripts/golden_artifacts.py PARENT_CHECKOUT /tmp/a > a.txt
     python3 scripts/golden_artifacts.py .               /tmp/b > b.txt
@@ -63,6 +64,9 @@ COVERED = ("quad", "iso", "quasi-if", "roy-equal")
 # leaves no kernel window of the 25x4 grid empty in any replication
 DISCRETE_Z = {"quasi-zchoice": {**DESIGNS["quasi"], "z_law": {
     "kind": "choice", "values": [0.0, 0.25, 0.5, 0.75, 1.0]}}}
+# simulate, round y to tenths, then infer on both sides: ties in y inside
+# every kernel window, for the sort order of tied records
+TIED_Y = {"quasi-ties": DESIGNS["quasi"]}
 GRID = ["--grid-y", "25", "--grid-z", "4"]
 # the last --grid-y/--grid-z flags win: at 100x6 the bootstrap's 50
 # replications run in several chunks, the last of them ragged
@@ -98,6 +102,10 @@ def commands(name: str) -> list:
         return [simulate, *([coverage] if name in COVERED else [])]
     if name in DISCRETE_Z:
         return [simulate, [*infer, "--bandwidth", "0.3", "--output", f"{name}.band-lower.csv"]]
+    if name in TIED_Y:
+        return [simulate, round_y,
+                [*infer, "--output", f"{name}.band-lower.csv"],
+                [*infer, "--side", "upper", "--output", f"{name}.band-upper.csv"]]
     return [
         simulate,
         ["estimate", "--input", sample, *GRID, "--output", f"{name}.tables.csv"],
@@ -111,6 +119,15 @@ def commands(name: str) -> list:
     ]
 
 
+def round_y(sample: Path) -> None:
+    """Round the y column of a sample CSV to tenths, in place."""
+    lines = sample.read_text().splitlines(keepends=True)
+    data = lines.index("y,d,z,b_lower\n") + 1
+    rounded = (f"{round(float(y), 1)!r},{rest}" for y, rest in
+               (line.split(",", 1) for line in lines[data:]))
+    sample.write_text("".join([*lines[:data], *rounded]))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("repo", type=Path, help="checkout whose src/ is run")
@@ -118,9 +135,12 @@ def main() -> int:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(args.repo.resolve() / "src")}
-    for name, dgp in {**DESIGNS, **SIMULATED, **DISCRETE_Z}.items():
+    for name, dgp in {**DESIGNS, **SIMULATED, **DISCRETE_Z, **TIED_Y}.items():
         (args.outdir / f"{name}.json").write_text(json.dumps({"dgp": dgp}))
         for argv in commands(name):
+            if argv is round_y:
+                round_y(args.outdir / f"{name}.sample.csv")
+                continue
             proc = subprocess.run([sys.executable, "-m", "roybounds.cli", *argv],
                                   cwd=args.outdir, env=env, capture_output=True,
                                   text=True)

@@ -21,6 +21,7 @@ from roybounds import EvaluationGrid, ObservationSample, generate_sample
 from roybounds.errors import NoSupportError
 from roybounds.estimation import (
     TableKernel,
+    _Windows,
     _repair_columns,
     conditional_mean,
     epanechnikov,
@@ -194,6 +195,96 @@ def test_kernel_after_an_empty_window_draw():
     stack = kernel.tables(idx)
     for b, i in enumerate(idx):
         _assert_bitwise([a[b] for a in stack], _reference_tables(sample, grid, h, i))
+
+
+def _check_stack(kernel, idx):
+    stack = kernel.tables(idx)
+    assert all(a.shape[0] == len(idx) for a in stack)
+    for b, i in enumerate(idx):
+        _assert_bitwise([a[b] for a in stack],
+                        _reference_tables(kernel.sample, kernel.grid, kernel.bandwidth, i))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 87])
+def test_stacks_of_draws_with_the_sample_mixed_in(size):
+    # the coverage study's shape: n = 2000 on a 25x5 grid, a few hundred
+    # records per window, so many small windows share each stack
+    sample = generate_sample(quasi_dgp_spec(), 2000, seed=size)
+    kernel = TableKernel(sample, EvaluationGrid.from_sample(sample, 25, 5), 0.15)
+    rng = np.random.default_rng(size)
+    idx = [None if b % 5 == 2 else rng.integers(0, sample.n, size=sample.n)
+           for b in range(size)]
+    _check_stack(kernel, idx)
+
+
+def test_stack_with_y_and_z_tied_in_tenths():
+    base = generate_sample(quasi_dgp_spec(), 2500, seed=14)
+    y = np.round(base.y, 1)
+    sample = ObservationSample(y=y, d=base.d, z=np.round(base.z, 1),
+                               lower_support_bound=float(min(0.0, y.min())))
+    grid = EvaluationGrid(y=np.unique(np.quantile(y, np.linspace(0.02, 0.98, 30))),
+                          z=np.array([0.1, 0.3, 0.45, 0.6, 0.9]))
+    rng = np.random.default_rng(14)
+    idx = [rng.integers(0, sample.n, size=sample.n) for _ in range(9)]
+    _check_stack(TableKernel(sample, grid, 0.2), idx[:4] + [None] + idx[4:])
+
+
+def test_windows_of_many_and_of_few_records_in_one_stack():
+    # z crowds near 0.2: the window there holds about 10 000 records, the
+    # windows at 0.5 and 0.8 a few hundred, on both sides of any grouping of
+    # small windows by their record count
+    rng = np.random.default_rng(15)
+    n = 12_000
+    dense = rng.uniform(size=n) < 0.9
+    z = np.where(dense, rng.normal(0.2, 0.03, n), rng.uniform(0.0, 1.0, n))
+    d = (rng.uniform(size=n) < 0.5 + 0.3 * z).astype(np.int8)
+    sample = ObservationSample(y=rng.lognormal(z, 0.5), d=d, z=z)
+    grid = EvaluationGrid(y=np.quantile(sample.y, np.linspace(0.05, 0.95, 20)),
+                          z=np.array([0.2, 0.5, 0.8]))
+    kernel = TableKernel(sample, grid, 0.1)
+    assert (np.abs(z - 0.2) < 0.1).sum() > 8000
+    assert (np.abs(z - 0.8) < 0.1).sum() < 600
+    idx = [rng.integers(0, n, size=n) for _ in range(3)]
+    _check_stack(kernel, [idx[0], None, idx[1], idx[2]])
+
+
+@pytest.mark.parametrize("at", [0, 3])
+def test_empty_window_mid_stack_names_the_first_cell(at):
+    # draws with only z = 0.25 records empty the window at z0 = 0.75, those
+    # with only z = 0.75 records the one at z0 = 0.25; the first empty cell
+    # in (draw, column) order is the one the error names
+    sample = _two_cluster_sample(seed=8)
+    grid = EvaluationGrid(y=np.linspace(0.5, 3.5, 20), z=np.array([0.25, 0.75]))
+    kernel = TableKernel(sample, grid, 0.3)
+    rng = np.random.default_rng(at)
+    low, high = (rng.choice(np.flatnonzero(sample.z == v), size=sample.n)
+                 for v in (0.25, 0.75))
+    full = [rng.integers(0, sample.n, size=sample.n) for _ in range(6)]
+    for bad, z0 in ((low, 0.75), (high, 0.25)):
+        other = high if bad is low else low
+        with pytest.raises(NoSupportError) as err:
+            kernel.tables(full[:at] + [bad, other] + full[at:])
+        assert err.value.z0 == z0 and err.value.bandwidth == 0.3
+        _check_stack(kernel, full[:2] + [None] + full[2:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 60),
+              elements=st.floats(-2.0, 2.0, allow_subnormal=False)),
+       arrays(np.float64, st.integers(1, 5),
+              elements=st.floats(-2.5, 2.5, allow_subnormal=False)),
+       st.sampled_from([1e-300, 1e-17, 1e-9, 0.01, 0.25, 1.0, 5.0]),
+       st.integers(0, 3))
+def test_windows_bracket_equals_the_full_scan(z, z_grid, h, decimals):
+    # rounded z put ties and records exactly at |u| = 1 on the window edges
+    z = np.round(z, decimals) if decimals < 3 else z
+    win = _Windows(z, z_grid, h)
+    zs = z[win.order]
+    for z0, lo, hi in zip(z_grid, win.lo, win.hi):
+        with np.errstate(over="ignore"):  # u^2 of far records at a tiny h
+            inside = np.flatnonzero(epanechnikov((zs - z0) / h) > 0.0)
+        assert (lo, hi) == ((inside[0], inside[-1] + 1) if inside.size else (0, 0))
+        assert inside.size == hi - lo
 
 
 def test_grid_at_and_above_max_y():
