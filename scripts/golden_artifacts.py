@@ -12,10 +12,12 @@ on the quadratic, isoelastic, imperfect-foresight and degenerate pure Roy
 designs (every branch of the population tables), simulate and infer
 on a quasi-linear design with a discrete z law, and infer on both sides
 on a quasi-linear sample whose y are rounded to tenths (ties inside every
-kernel window), at small sizes and fixed seeds.  Every command runs in
-OUTDIR with relative paths, so the artifacts (whose headers echo the
-resolved configuration, paths included) do not depend on where OUTDIR
-lies, and two checkouts can be compared line by line:
+kernel window), and simulate, bounds (--mode all), infer on both sides and
+coverage on a quasi-linear design whose lower bound is positive, at small
+sizes and fixed seeds.  Every command runs in OUTDIR with relative paths,
+so the artifacts (whose headers echo the resolved configuration, paths
+included) do not depend on where OUTDIR lies, and two checkouts can be
+compared line by line:
 
     python3 scripts/golden_artifacts.py PARENT_CHECKOUT /tmp/a > a.txt
     python3 scripts/golden_artifacts.py .               /tmp/b > b.txt
@@ -67,6 +69,11 @@ DISCRETE_Z = {"quasi-zchoice": {**DESIGNS["quasi"], "z_law": {
 # simulate, round y to tenths, then infer on both sides: ties in y inside
 # every kernel window, for the sort order of tied records
 TIED_Y = {"quasi-ties": DESIGNS["quasi"]}
+# simulate, bounds --mode all, infer on both sides and coverage on a design
+# whose population lower bound is positive on about half its identified cells
+CONTENT = {"content": {"family": "quasi_linear", "params": {
+    "mu0": 0.0, "mu1": {"intercept": 0.2, "slope": -0.3}, "sigma0": 0.6, "sigma1": 0.6,
+    "outcome_corr": 0.0, "g0": {"intercept": 1.5, "slope": -1.5}, "g1": 0.0}}}
 GRID = ["--grid-y", "25", "--grid-z", "4"]
 # the last --grid-y/--grid-z flags win: at 100x6 the bootstrap's 50
 # replications run in several chunks, the last of them ragged
@@ -102,10 +109,13 @@ def commands(name: str) -> list:
         return [simulate, *([coverage] if name in COVERED else [])]
     if name in DISCRETE_Z:
         return [simulate, [*infer, "--bandwidth", "0.3", "--output", f"{name}.band-lower.csv"]]
+    bands = [[*infer, "--output", f"{name}.band-lower.csv"],
+             [*infer, "--side", "upper", "--output", f"{name}.band-upper.csv"]]
     if name in TIED_Y:
-        return [simulate, round_y,
-                [*infer, "--output", f"{name}.band-lower.csv"],
-                [*infer, "--side", "upper", "--output", f"{name}.band-upper.csv"]]
+        return [simulate, round_y, *bands]
+    if name in CONTENT:
+        return [simulate, ["bounds", "--input", sample, "--mode", "all", *GRID,
+                           "--output", f"{name}.bounds.csv"], *bands, coverage]
     return [
         simulate,
         ["estimate", "--input", sample, *GRID, "--output", f"{name}.tables.csv"],
@@ -135,7 +145,7 @@ def main() -> int:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(args.repo.resolve() / "src")}
-    for name, dgp in {**DESIGNS, **SIMULATED, **DISCRETE_Z, **TIED_Y}.items():
+    for name, dgp in {**DESIGNS, **SIMULATED, **DISCRETE_Z, **TIED_Y, **CONTENT}.items():
         (args.outdir / f"{name}.json").write_text(json.dumps({"dgp": dgp}))
         for argv in commands(name):
             if argv is round_y:

@@ -10,6 +10,15 @@ def quasi_dgp_spec():
         g0=(1.5, -0.8), g1=(0.3, 0.0))
 
 
+def content_dgp_spec():
+    """A quasi-linear design whose population lower bound is positive on
+    about half of its identified cells (every other tested design's is 0):
+    the cost 1.5 - 1.5 z falls to 0 as the sector-1 mean falls in z."""
+    return DgpSpec.quasi_linear(
+        mu0=(0.0, 0.0), mu1=(0.2, -0.3), sigma0=0.6, sigma1=0.6,
+        g0=(1.5, -1.5), g1=(0.0, 0.0))
+
+
 @pytest.fixture(scope="session")
 def quasi_dgp():
     return quasi_dgp_spec()

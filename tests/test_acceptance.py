@@ -314,8 +314,7 @@ def test_criterion_8_cli_bit_reproducibility(tmp_path, monkeypatch):
          "--alpha", "0.1", "--bootstrap", "60", "--seed", "5",
          "--output", "band.csv"],
         ["coverage", "--config", "cfg.json", "--n", "300", "--reps", "2",
-         "--bootstrap", "50", "--grid-y", "12", "--grid-z", "3", "--seed", "1",
-         "--output", "cov.csv"],
+         "--bootstrap", "50", "--seed", "1", "--output", "cov.csv"],
     ]
 
     def snapshot():

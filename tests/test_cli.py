@@ -3,14 +3,17 @@
 import argparse
 import json
 import re
+import shlex
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from roybounds import ingest_csv
-from roybounds.cli import _build_parser, main
+from roybounds.cli import _COMMANDS, RunConfig, _build_parser, main
 
 from conftest import quasi_dgp_spec
 from reference import read_long_csv
@@ -51,36 +54,84 @@ def test_no_command_is_an_error(capsys):
     capsys.readouterr()
 
 
-# every flag of each subcommand, with an argument and the value it parses to
-_COMMON_FLAGS = {
+# each flag with an argument and the value it parses to, and the flags of
+# each subcommand: exactly those its run reads (bounds --seed aside)
+_VALUES = {
     "--config": ("c.json", "c.json"), "--input": ("s.csv", "s.csv"),
     "--output": ("o.csv", "o.csv"), "--bandwidth": ("0.25", 0.25),
     "--alpha": ("0.1", 0.1), "--bootstrap": ("60", 60), "--seed": ("3", 3),
-    "--grid-y": ("7", 7), "--grid-z": ("2", 2),
+    "--grid-y": ("7", 7), "--grid-z": ("2", 2), "--mode": ("if", "if"),
+    "--crossing-tol": ("0.5", 0.5), "--cost-points": ("7", 7), "--cost-max": ("2.5", 2.5),
+    "--side": ("upper", "upper"), "--z-bins": ("0.1,0.2", [0.1, 0.2]),
+    "--n": ("50", 50), "--reps": ("4", 4),
 }
+_SAMPLE_FLAGS = ("--config", "--input", "--output", "--bandwidth", "--grid-y", "--grid-z")
 _FLAGS = {
-    "estimate": {},
-    "bounds": {"--mode": ("if", "if"), "--crossing-tol": ("0", 0.0),
-               "--cost-points": ("7", 7), "--cost-max": ("2.5", 2.5)},
-    "infer": {"--side": ("upper", "upper"), "--crossing-tol": ("0.5", 0.5),
-              "--z-bins": ("0.1,0.2", [0.1, 0.2])},
-    "simulate": {"--n": ("50", 50)},
-    "coverage": {"--n": ("50", 50), "--reps": ("4", 4)},
+    "estimate": _SAMPLE_FLAGS,
+    "bounds": (*_SAMPLE_FLAGS, "--seed", "--mode", "--crossing-tol", "--cost-points",
+               "--cost-max"),
+    "infer": (*_SAMPLE_FLAGS, "--alpha", "--bootstrap", "--seed", "--crossing-tol",
+              "--side", "--z-bins"),
+    "simulate": ("--config", "--output", "--seed", "--n"),
+    "coverage": ("--config", "--output", "--bandwidth", "--alpha", "--bootstrap", "--seed",
+                 "--n", "--reps"),
 }
+
+
+def _subparser(command):
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]
 
 
 @pytest.mark.parametrize("command", list(_FLAGS))
 def test_each_subcommand_takes_exactly_its_flags(command):
-    subparsers = next(a for a in _build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    parser = subparsers.choices[command]
-    table = {**_COMMON_FLAGS, **_FLAGS[command]}
+    parser = _subparser(command)
     assert ({s for a in parser._actions for s in a.option_strings}
-            == {"-h", "--help", *table})
+            == {"-h", "--help", *_FLAGS[command]})
     assert all(value is None for value in vars(parser.parse_args([])).values())
-    for flag, (text, value) in table.items():
+    for flag in _FLAGS[command]:
+        text, value = _VALUES[flag]
         parsed = getattr(parser.parse_args([flag, text]), flag[2:].replace("-", "_"))
         assert parsed == value and type(parsed) is type(value)
+
+
+def test_each_flag_is_read_by_its_subcommand(tmp_path):
+    read = set()
+
+    class Recording(RunConfig):
+        """A RunConfig that notes each name read outside ``echo()``."""
+
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+        def echo(self):
+            before = set(read)
+            out = super().echo()
+            read.intersection_update(before)
+            return out
+
+    sample = _simulated(tmp_path, n=400)
+    dgp = quasi_dgp_spec().to_json()
+    toy = {  # every branch that reads a field: bounds --mode all runs all three modes
+        "estimate": {"input": sample, "grid_y": 10, "grid_z": 3},
+        "bounds": {"input": sample, "grid_y": 10, "grid_z": 3, "mode": "all"},
+        "infer": {"input": sample, "grid_y": 10, "grid_z": 3, "bootstrap": 50},
+        "simulate": {"dgp": dgp, "n": 50},
+        "coverage": {"dgp": dgp, "n": 300, "reps": 1, "bootstrap": 50},
+    }
+    flagged = {f.name for f in fields(RunConfig) if f.metadata.get("commands")}
+    for command, values in toy.items():
+        read.clear()
+        config = Recording(command=command, output=str(tmp_path / f"{command}.csv"), **values)
+        assert _COMMANDS[command](config) == 0
+        reads = {"--" + name.replace("_", "-") for name in read & flagged}
+        # the one flag a subcommand takes without reading it (see RunConfig.seed)
+        unread = {"--seed"} if command == "bounds" else set()
+        assert not reads & unread
+        takes = {s for a in _subparser(command)._actions for s in a.option_strings}
+        assert takes == {"-h", "--help", "--config", *reads, *unread}, command
 
 
 @pytest.mark.parametrize("argv", [
@@ -88,11 +139,26 @@ def test_each_subcommand_takes_exactly_its_flags(command):
     ["bounds", "--side", "upper"], ["estimate", "--mode", "pf"],
     ["simulate", "--reps", "3"], ["estimate", "--grid-y", "7.5"],
     ["infer", "--z-bins", "0.1,x"], ["infer", "--epsilon", "0"], ["infer", "--workers", "3"],
+    # flags a subcommand does not read
+    ["estimate", "--seed", "1"], ["bounds", "--bootstrap", "60"],
+    ["simulate", "--grid-y", "7"], ["coverage", "--grid-z", "3"],
+    ["simulate", "--input", "s.csv"], ["coverage", "--input", "s.csv"],
 ])
 def test_bad_or_foreign_flags_exit_one(tmp_path, capsys, argv):
     assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err  # argparse's usage error, before any config check
+    assert err.startswith("usage: roybounds ") and re.search(r"^roybounds.*: error: ", err, re.M)
     assert not any(tmp_path.iterdir())
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in lines.splitlines()
+                if line.startswith("roybounds ")]
+    assert sorted(argv[0] for argv in commands) == sorted(_FLAGS)
+    for argv in commands:  # a flag the subcommand does not take exits here
+        _build_parser().parse_args(argv)
 
 
 def test_missing_output_is_config_error(tmp_path, capsys):
@@ -210,14 +276,15 @@ def test_bad_subset_indices_are_config_errors(tmp_path, capsys, value, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("form", ["flag", "config"])
-@pytest.mark.parametrize("command", ["estimate", "bounds", "infer", "simulate", "coverage"])
+@pytest.mark.parametrize("command, form", [
+    (command, form) for command in _FLAGS for form in ("flag", "config")
+    if form == "config" or "--seed" in _FLAGS[command]])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, command, form):
-    sample = _simulated(tmp_path, n=400)
+    sample = ["--input", _simulated(tmp_path, n=400)] if "--input" in _FLAGS[command] else []
     source = (["--config", _config_file(tmp_path), "--seed", "-1"] if form == "flag"
               else ["--config", _config_file(tmp_path, seed=-1)])
     out = tmp_path / "out.csv"
-    assert main([command, "--input", sample, "--output", str(out), *source]) == 1
+    assert main([command, *sample, "--output", str(out), *source]) == 1
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not out.exists()
 

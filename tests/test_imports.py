@@ -108,13 +108,13 @@ designs = {"quasi": DgpSpec.quasi_linear(g0=(1.5, -0.8), g1=(0.3, 0.0), **shape)
 for name, dgp in designs.items():
     with open(name + ".json", "w") as handle:
         json.dump({"dgp": dgp.to_json()}, handle)
-    sample = ["--input", name + ".csv"]
+    sample = ["--input", name + ".csv", "--grid-y", "10", "--grid-z", "3"]
     for args in (["simulate", "--config", name + ".json", "--n", "400",
                   "--output", name + ".csv"],
                  ["estimate", *sample, "--output", name + ".tables.csv"],
                  ["bounds", "--mode", "all", *sample, "--output", name + ".bounds.csv"],
                  ["infer", "--bootstrap", "50", *sample, "--output", name + ".band.csv"]):
-        assert cli.main(args + ["--grid-y", "10", "--grid-z", "3"]) == 0, args
+        assert cli.main(args) == 0, args
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 

@@ -6,13 +6,14 @@ import pytest
 from roybounds import (
     DgpSpec,
     EvaluationGrid,
+    cost_bounds_pf,
     generate_sample,
     population_tables,
     true_cost,
 )
 from roybounds.errors import DomainError
 
-from conftest import interior_grid
+from conftest import content_dgp_spec, interior_grid
 from reference import check_smiv_dgp, lower_orthant_table
 
 
@@ -95,6 +96,24 @@ def test_population_rejects_unit_correlation_mixture():
 def test_check_smiv_dgp_quasi(quasi_dgp):
     rep = check_smiv_dgp(quasi_dgp, np.linspace(0.3, 4.0, 15),
                          np.linspace(0.05, 0.95, 5))
+    assert rep.ok, rep.worst_violation
+
+
+def test_content_design_has_a_positive_lower_bound():
+    # the 200x8 grid of the coverage studies: [0.05, 0.95] quantiles of a pilot
+    dgp = content_dgp_spec()
+    pilot = generate_sample(dgp, 20000, np.random.SeedSequence([7, 0xC0FFEE]))
+    y = np.quantile(pilot.y, np.linspace(0.05, 0.95, 200))
+    z = np.quantile(pilot.z, np.linspace(0.05, 0.95, 8))
+    grid = EvaluationGrid(y=np.unique(y), z=np.unique(z))
+    surface = cost_bounds_pf(population_tables(dgp, grid))
+    truth = np.column_stack([true_cost(dgp, grid.y, z) for z in grid.z])
+    ident = surface.identified_mask
+    clow = surface.Clow[ident]
+    assert ident.sum() > 1000
+    assert np.mean(clow > 0.0) >= 0.3
+    assert np.all(clow <= truth[ident])
+    rep = check_smiv_dgp(dgp, grid.y[::5], grid.z)
     assert rep.ok, rep.worst_violation
 
 
