@@ -166,9 +166,9 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
         raise ConfigError(f"selection subset index {bad} is outside the "
                           f"y grid of {grid.y.size} points")
     sign = 1.0 if side == "lower" else -1.0
-    dev = sign * (theta[None, :, :] - draws) / sn[None, :, :]
+    dev = sign * (theta[None, sub_idx, :] - draws[:, sub_idx, :]) / sn[None, sub_idx, :]
 
-    sub = dev[:, sub_idx, :].reshape(draws.shape[0], -1)
+    sub = dev.reshape(draws.shape[0], -1)
     gamma = 1.0 - 0.1 / max(np.log(n_obs), 1.0)
     k_prelim = max(float(np.quantile(np.max(sub, axis=1), gamma)), 0.0)
 
@@ -182,7 +182,7 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
         selected = theta >= theta_best[:, z_of_pair] - slack
 
     keep = selected[sub_idx, :]
-    kept_dev = dev[:, sub_idx, :][:, keep]
+    kept_dev = dev[:, keep]
     if kept_dev.shape[1] == 0:
         crit = 0.0
     else:

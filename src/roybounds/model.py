@@ -487,10 +487,10 @@ def _lognormal_moment(mu, sigma, k: int, log_cap: float = math.inf):
     base = np.exp(k * mu + 0.5 * (k * sigma) ** 2)
     if not math.isfinite(log_cap):
         return base
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     a = (log_cap - mu) / sigma
-    return base * norm.cdf(a - k * sigma) / norm.cdf(a)
+    return base * ndtr(a - k * sigma) / ndtr(a)
 
 
 def true_cost(dgp: DgpSpec, y, z):

@@ -12,6 +12,11 @@ conditioned out; they are evaluated by composite Simpson cumulatives on a
 dense node grid, which keeps absolute errors near 1e-12 and gives every y
 grid value from a single pass per z column.  Quadratic-family truncation is
 handled by capping both coordinates and renormalizing.
+
+Every float is scipy's without loading ``scipy.stats`` or ``scipy.integrate``:
+the normal cdf is ``scipy.special.ndtr``, which ``norm.cdf`` calls, and
+``_normal_pdf`` and ``_cumulative_simpson`` transcribe ``norm.pdf`` and scipy
+1.17's unequal-interval ``cumulative_simpson`` (the path taken given ``x``).
 """
 
 from __future__ import annotations
@@ -33,6 +38,36 @@ def _params_at(dgp: DgpSpec, z: float) -> tuple:
             float(dgp.sigma0(z)), float(dgp.sigma1(z)))
 
 
+def _normal_pdf(x: np.ndarray, mu: float, s: float) -> np.ndarray:
+    """``scipy.stats.norm.pdf(x, loc=mu, scale=s)``, the same operations in order."""
+    u = (x - mu) / s
+    return np.exp(-u**2 / 2.0) / np.sqrt(2 * np.pi) / s
+
+
+def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integral over the first interval of each panel [x_i, x_i+2]."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)`` for 1-D
+    inputs of 3 or more points (eqn (8) of Cartwright 2017, as scipy cites it)."""
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("Input x must be strictly increasing.")
+    h1 = _simpson_pieces(y, dx)
+    h2 = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(dx.size)
+    pieces[:-1:2], pieces[1::2], pieces[-1] = h1[::2], h2[::2], h2[-1]
+    out = np.cumsum(pieces)
+    out += 0.0  # scipy adds the initial value, which turns -0.0 into 0.0
+    return np.concatenate(([0.0], out))
+
+
 def _node_grid(mu: float, sigma: float, cap: float) -> np.ndarray:
     hi = min(mu + _TAIL_SD * sigma, cap)
     lo = hi - 2.0 * _TAIL_SD * sigma
@@ -52,8 +87,7 @@ def _sector_cumulative(mu: float, s: float, mu_o: float, s_o: float, r: float,
     """Nodes x over this sector's log income and the cumulative integral of
     P(X in dx, X_o <= ln bound(e^x, z)), X_o the other sector's log income
     (capped at ``cap``), conditioned on X = x through the correlation r."""
-    from scipy.integrate import cumulative_simpson
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     x = _node_grid(mu, s, cap)
     b = np.asarray(bound(np.exp(x), z), dtype=float)
@@ -61,13 +95,13 @@ def _sector_cumulative(mu: float, s: float, mu_o: float, s_o: float, r: float,
         ub = np.where(b > 0, np.log(np.where(b > 0, b, 1.0)), -np.inf)
     ub = np.minimum(ub, cap)
     m = mu_o + r * (s_o / s) * (x - mu)
-    inner = norm.cdf((ub - m) / (s_o * math.sqrt(1.0 - r * r)))
-    return x, cumulative_simpson(norm.pdf(x, loc=mu, scale=s) * inner, x=x, initial=0.0)
+    inner = ndtr((ub - m) / (s_o * math.sqrt(1.0 - r * r)))
+    return x, _cumulative_simpson(_normal_pdf(x, mu, s) * inner, x)
 
 
 def _column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
     """(F0, F1, p) at one z."""
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     mu0, mu1, s0, s1, r = *_params_at(dgp, z), dgp.outcome_corr
     cap = dgp._log_cap()
@@ -77,7 +111,7 @@ def _column(dgp: DgpSpec, z: float, log_y: np.ndarray) -> tuple:
             return zero, _truncated_normal_cdf(log_y, mu1, s1, cap), 1.0
         return _truncated_normal_cdf(log_y, mu0, s0, cap), zero, 0.0
     if _pure_roy_degenerate(dgp):  # equal incomes, ties to sector 1
-        return zero, norm.cdf((log_y - mu0) / s0), 1.0
+        return zero, ndtr((log_y - mu0) / s0), 1.0
     if abs(r) >= 1.0:
         raise DomainError("population tables need |outcome_corr| < 1 "
                           "(except the degenerate pure_roy closed form)")
@@ -107,9 +141,9 @@ def population_tables(dgp: DgpSpec, grid: EvaluationGrid) -> ConditionalCdfTable
 
 
 def _truncated_normal_cdf(x: np.ndarray, mu: float, sigma: float, cap: float) -> np.ndarray:
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     if not math.isfinite(cap):
-        return norm.cdf((x - mu) / sigma)
+        return ndtr((x - mu) / sigma)
     a = (cap - mu) / sigma
-    return norm.cdf(np.minimum((x - mu) / sigma, a)) / norm.cdf(a)
+    return ndtr(np.minimum((x - mu) / sigma, a)) / ndtr(a)

@@ -2,7 +2,8 @@
 function and class and every method of such a class is used by the package
 or by a script, no module imports a sibling inside a function, the export
 list matches the package imports, the CLI runs its commands without
-importing scipy, and README's library quickstart runs as written."""
+importing scipy, coverage and every simulate load no scipy beyond
+``scipy.special``, and README's library quickstart runs as written."""
 
 import ast
 import os
@@ -127,6 +128,41 @@ def test_cli_commands_import_no_scipy(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# coverage (population tables, perfect foresight) and simulate on an
+# imperfect-foresight quadratic design (truncated moments) at toy sizes;
+# prints the scipy modules the interpreter has loaded
+_SCIPY_RUNS = """
+import json, sys
+import roybounds.cli as cli
+from roybounds.model import DgpSpec
+designs = {
+    "quasi": DgpSpec.quasi_linear(mu0=(0.0, 0.3), mu1=(0.2, 0.5), sigma0=0.6,
+                                  sigma1=0.7, g0=(1.5, -0.8), g1=(0.3, 0.0)),
+    "quad": DgpSpec.quadratic(mu0=(-1.3, 0.2), mu1=(-1.2, 0.3), sigma0=0.6,
+                              sigma1=0.7, eta0=0.25, eta1=(0.45, -0.1), f=0.8,
+                              foresight="imperfect")}
+for name, dgp in designs.items():
+    with open(name + ".json", "w") as handle:
+        json.dump({"dgp": dgp.to_json(), "n": 300, "reps": 2, "bootstrap": 50}, handle)
+assert cli.main(["coverage", "--config", "quasi.json", "--output", "cov.csv"]) == 0
+assert cli.main(["simulate", "--config", "quad.json", "--output", "quad.csv"]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+_HEAVY_SCIPY = ("stats", "integrate", "optimize", "linalg", "sparse")
+
+
+def test_coverage_and_simulate_load_only_scipy_special(tmp_path):
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_RUNS],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert "scipy.special" in loaded
+    # the subpackage of each scipy module: "" for scipy itself
+    assert [m for m in loaded if m.partition(".")[2].partition(".")[0] in _HEAVY_SCIPY] == []
 
 
 def test_readme_quickstart_runs():

@@ -1,7 +1,11 @@
-"""Analytic population tables checked against brute Monte-Carlo draws."""
+"""Analytic population tables checked against brute Monte-Carlo draws, and
+their scipy-free normal and Simpson pieces against scipy bit for bit."""
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from roybounds import (
     DgpSpec,
@@ -12,8 +16,11 @@ from roybounds import (
     true_cost,
 )
 from roybounds.errors import DomainError
+from roybounds.model import _lognormal_moment
+from roybounds.population import (_cumulative_simpson, _node_grid, _normal_pdf,
+                                  _params_at)
 
-from conftest import content_dgp_spec, interior_grid
+from conftest import content_dgp_spec, interior_grid, quasi_dgp_spec
 from reference import check_smiv_dgp, lower_orthant_table
 
 
@@ -149,3 +156,131 @@ def test_imperfect_foresight_population(quasi_dgp):
     F, F0, F1, p = mc_tables(dgp, grid, n=200_000, seed=55)
     assert np.max(np.abs(t.F - F)) < 5e-3
     assert np.max(np.abs(t.p - p)) < 5e-3
+
+
+def quadratic_dgp_spec(**kw):
+    """The golden quadratic design: its income cap truncates both sectors."""
+    return DgpSpec.quadratic(mu0=(-1.3, 0.2), mu1=(-1.2, 0.3), sigma0=0.6,
+                             sigma1=0.7, eta0=0.25, eta1=(0.45, -0.1), f=0.8, **kw)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# u past the tails (ndtr(-38) is 0, the density is subnormal by 38 and 0 by
+# 40), and signed zeros
+_EDGE_U = np.array([-np.inf, -40.0, -38.5, -38.0, -37.5, -8.5, -1.0, -1e-300, -0.0,
+                    0.0, 1e-300, 1.0, 8.5, 37.5, 38.0, 38.5, 40.0, np.inf])
+
+
+def test_ndtr_is_norm_cdf_bit_for_bit():
+    u = np.concatenate([_EDGE_U, np.random.default_rng(5).normal(0.0, 6.0, 2000)])
+    assert same_bits(ndtr(u), norm.cdf(u))
+    for v in _EDGE_U:  # scalars, as _lognormal_moment gets them
+        assert same_bits(ndtr(v), norm.cdf(v))
+
+
+@pytest.mark.parametrize("mu, s", [(0.0, 1.0), (-1.2, 0.7), (0.35, 0.45)])
+def test_normal_pdf_is_norm_pdf_bit_for_bit(mu, s):
+    x = np.concatenate([mu + s * _EDGE_U, np.random.default_rng(6).normal(mu, 5 * s, 2000)])
+    assert same_bits(_normal_pdf(x, mu, s), norm.pdf(x, loc=mu, scale=s))
+
+
+@pytest.mark.parametrize("dgp", [quasi_dgp_spec(), quadratic_dgp_spec(),
+                                 content_dgp_spec()],
+                         ids=["uncapped", "capped", "content"])
+def test_cumulative_simpson_is_scipy_bit_for_bit_on_node_grids(dgp):
+    # the integrand of _sector_cumulative (outcome_corr 0), on each sector's
+    # node grid, with and without the income cap
+    cap = dgp._log_cap()
+    for z in (0.05, 0.5, 0.95):
+        mu0, mu1, s0, s1 = _params_at(dgp, z)
+        for mu, s, mu_o, s_o, bound in ((mu1, s1, mu0, s0, dgp.shifted_income),
+                                        (mu0, s0, mu1, s1, dgp.shifted_income_inverse)):
+            x = _node_grid(mu, s, cap)
+            with np.errstate(divide="ignore"):  # a bound at or below 0 gives ln = -inf
+                ub = np.minimum(np.log(np.maximum(bound(np.exp(x), z), 0.0)), cap)
+            y = norm.pdf(x, loc=mu, scale=s) * norm.cdf((ub - mu_o) / s_o)
+            assert same_bits(_cumulative_simpson(y, x),
+                             cumulative_simpson(y, x=x, initial=0.0))
+
+
+def test_cumulative_simpson_is_scipy_bit_for_bit_on_short_uneven_grids():
+    # both parities of the interval count, and signed zeros in the integrand
+    rng = np.random.default_rng(8)
+    for size in (3, 4, 5, 6, 11, 12):
+        x = np.cumsum(rng.uniform(0.01, 1.0, size))
+        y = rng.normal(size=size)
+        y[::3] = -0.0
+        assert same_bits(_cumulative_simpson(y, x),
+                         cumulative_simpson(y, x=x, initial=0.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _cumulative_simpson(np.ones(4), np.array([0.0, 1.0, 1.0, 2.0]))
+
+
+def test_truncated_branches_match_scipy_bit_for_bit():
+    # imperfect foresight on the quadratic family: every moment and every
+    # table column is truncated at the income cap
+    dgp = quadratic_dgp_spec(foresight="imperfect")
+    cap = dgp._log_cap()
+    assert np.isfinite(cap)
+    z = np.linspace(0.0, 1.0, 11)
+    for mu, sg in ((dgp.mu0(z), dgp.sigma0(z)), (dgp.mu1(z), dgp.sigma1(z))):
+        mu, sg = np.asarray(mu, dtype=float), np.asarray(sg, dtype=float)
+        a = (cap - mu) / sg
+        for k in (1, 2):
+            base = np.exp(k * mu + 0.5 * (k * sg) ** 2)
+            assert same_bits(_lognormal_moment(mu, sg, k, cap),
+                             base * norm.cdf(a - k * sg) / norm.cdf(a))
+    grid = EvaluationGrid(y=np.linspace(0.05, 1.2, 40), z=np.linspace(0.05, 0.95, 5))
+    t = population_tables(dgp, grid)
+    log_y = np.log(grid.y)
+    for j, zv in enumerate(grid.z):
+        mu0, mu1, s0, s1 = _params_at(dgp, zv)
+        mu, s, col = (mu1, s1, t.F1) if t.p[j] == 1.0 else (mu0, s0, t.F0)
+        a = (cap - mu) / s
+        ref = norm.cdf(np.minimum((log_y - mu) / s, a)) / norm.cdf(a)
+        assert same_bits(col[:, j], ref)
+
+
+def test_degenerate_pure_roy_closed_form_is_norm_cdf():
+    dgp = DgpSpec.pure_roy(mu=(0.0, 0.3), sigma=0.6)  # comonotone, equal laws
+    grid = EvaluationGrid(y=np.linspace(0.2, 4.0, 30), z=np.linspace(0.05, 0.95, 4))
+    t = population_tables(dgp, grid)
+    for j, zv in enumerate(grid.z):
+        mu0, _, s0, _ = _params_at(dgp, zv)
+        assert same_bits(t.F1[:, j], norm.cdf((np.log(grid.y) - mu0) / s0))
+
+
+def _falling_wage_design(rng):
+    """A quasi-linear design whose sector-1 wages fall in z while its cost
+    falls faster, so payoff SMIV can hold with an informative lower bound."""
+    s = rng.uniform(0.4, 0.8)
+    ga = rng.uniform(0.8, 2.0)
+    return DgpSpec.quasi_linear(mu0=(rng.uniform(-0.2, 0.2), 0.0),
+                                mu1=(rng.uniform(0.0, 0.4), -rng.uniform(0.1, 0.4)),
+                                sigma0=s, sigma1=s,
+                                g0=(ga, -ga * rng.uniform(0.6, 1.0)), g1=(0.0, 0.0))
+
+
+def test_containment_on_random_falling_wage_designs():
+    # the random counterpart of the content design: criterion 2's families
+    # all have Clow = 0, so only here does Clow <= C compare a positive bound
+    rng = np.random.default_rng(20260815)
+    kept = positive = 0
+    for k in range(20):
+        dgp = _falling_wage_design(rng)
+        grid = interior_grid(dgp, n_y=30, n_z=5, seed=100 + k)
+        if not check_smiv_dgp(dgp, grid.y[::3], grid.z).ok:
+            continue
+        kept += 1
+        surface = cost_bounds_pf(population_tables(dgp, grid))
+        truth = np.column_stack([true_cost(dgp, grid.y, z) for z in grid.z])
+        ident = surface.identified_mask
+        assert np.all(surface.Clow[ident] <= truth[ident]), k
+        assert np.all(truth[ident] <= surface.Chigh[ident]), k
+        positive += int(np.sum(surface.Clow[ident] > 0.0))
+    assert kept >= 5
+    assert positive > 0
