@@ -3,7 +3,8 @@
 The set covers simulate, estimate, bounds (--mode all, each mode alone,
 pf at a zero crossing tolerance and random on a given cost grid), infer
 (lower, upper, with --bandwidth/--z-bins, at a zero crossing tolerance,
-and lower and upper on a grid whose bootstrap runs in more than one chunk)
+lower and upper on a grid whose bootstrap runs in more than one chunk, and
+lower on a grid of more than 256 y rows, whose draws take two bytes)
 and coverage on the quasi-linear and multiplicative designs, simulate on
 the pure Roy, quadratic, isoelastic, an imperfect-foresight and a
 degenerate pure Roy design (each cost family's closed form and both
@@ -78,6 +79,8 @@ GRID = ["--grid-y", "25", "--grid-z", "4"]
 # the last --grid-y/--grid-z flags win: at 100x6 the bootstrap's 50
 # replications run in several chunks, the last of them ragged
 CHUNKED = ["--grid-y", "100", "--grid-z", "6"]
+# past 256 y rows the bootstrap stores each draw's grid index in two bytes
+WIDE_Y = ["--grid-y", "300", "--grid-z", "3"]
 # at 60x8 the estimated envelopes cross, so a zero tolerance exits 2
 CROSSED = ["--grid-y", "60", "--grid-z", "8", "--crossing-tol", "0"]
 INFER = {
@@ -86,6 +89,7 @@ INFER = {
     "options": ["--bandwidth", "0.25", "--z-bins", "0.2,0.5,0.8"],
     "chunked-lower": CHUNKED,
     "chunked-upper": [*CHUNKED, "--side", "upper"],
+    "wide-y": WIDE_Y,
     "rejected": [*CROSSED, "--alpha", "0.1"],
 }
 # each bounds mode alone writes untagged artifacts

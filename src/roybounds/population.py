@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidDgpError
 from .estimation import ConditionalCdfTable
 from .model import DgpSpec, EvaluationGrid
 
@@ -71,7 +71,12 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _node_grid(mu: float, sigma: float, cap: float) -> np.ndarray:
     hi = min(mu + _TAIL_SD * sigma, cap)
     lo = hi - 2.0 * _TAIL_SD * sigma
-    return np.linspace(lo, hi, _NODES)
+    x = np.linspace(lo, hi, _NODES)
+    if np.any(np.diff(x) <= 0):  # the nodes' spacing fell below the floats' at mu
+        raise InvalidDgpError(f"dgp sigma {sigma!r} is too small beside mu {mu!r}: "
+                              f"the population tables' {_NODES} nodes over "
+                              f"{2 * _TAIL_SD:g} sigma do not increase")
+    return x
 
 
 def _pure_roy_degenerate(dgp: DgpSpec) -> bool:

@@ -538,6 +538,19 @@ def test_malformed_dgp_is_a_one_line_error(tmp_path, capsys, dgp, command):
     assert not out.exists()
 
 
+def test_collapsed_population_nodes_are_a_one_line_error(tmp_path, capsys):
+    # 20 001 nodes over 17 sigma of 1e-15 fall below one ulp of mu = 1
+    out = tmp_path / "cov.csv"
+    dgp = _params_with(mu0=1.0, mu1=1.0, sigma0=1e-15, sigma1=1e-15)
+    code = main(["coverage", "--config", _config_file(tmp_path, dgp=dgp),
+                 "--output", str(out), "--n", "300", "--reps", "1", "--bootstrap", "50"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dgp sigma 1e-15 is too small beside mu 1.0")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_custom_family_is_unknown(tmp_path, capsys):
     out = tmp_path / "out.csv"
     config = _config_file(tmp_path, dgp=_dgp_with(family="custom"))

@@ -1,5 +1,7 @@
 """Band construction: fibers, their inversion, bootstrap, CLR step."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,8 +93,8 @@ def _theta_single(y, values, x):
     """The band's lower inverse of one monotone fiber at one target value."""
     y = np.asarray(y, dtype=float)
     targets = np.full((y.size, 1), float(x))
-    theta, _ = _theta(y, targets, np.asarray(values, dtype=float)[:, None], "lower")
-    return theta[0, 0]
+    k, _ = _theta(y, targets, np.asarray(values, dtype=float)[:, None], "lower")
+    return y[k[0, 0]]
 
 
 def test_theta_matches_lower_generalized_inverse_on_step():
@@ -128,7 +130,7 @@ def _fiber_problems(draw):
 @given(_fiber_problems())
 def test_theta_matches_generalized_inverse_fuzz(problem):
     y, F1, pairs, Gstar, side = problem
-    theta, _ = _theta(y, F1, Gstar, side)
+    theta = y[_theta(y, F1, Gstar, side)[0]]
     for k, (i, _) in enumerate(pairs):
         for row in range(y.size):
             ref = generalized_inverse(y, Gstar[:, k], F1[row, i], kind=side)
@@ -154,7 +156,8 @@ def _fiber_stacks(draw):
 @given(_fiber_stacks())
 def test_stacked_theta_matches_per_pair_searchsorted(problem):
     y, F1, Gstar, side = problem
-    theta, clamped = _theta(y, F1, Gstar, side)
+    k, clamped = _theta(y, F1, Gstar, side)
+    theta = y[k]
     want_theta, want_clamped = searchsorted_theta(y, F1, Gstar, side)
     assert theta.tobytes() == want_theta.tobytes()
     assert np.array_equal(clamped, want_clamped)
@@ -166,8 +169,8 @@ def test_theta_below_fiber_minimum_clamps_low():
 
 def _population_theta(t):
     G = _fiber_matrix(t.grid, t.F, t.F0, t.p, "lower", 0.0)
-    theta, _ = _theta(t.grid.y, t.F1, np.maximum.accumulate(G, axis=-2), "lower")
-    return _pairs(t.grid.z.size, "lower"), theta
+    k, _ = _theta(t.grid.y, t.F1, np.maximum.accumulate(G, axis=-2), "lower")
+    return _pairs(t.grid.z.size, "lower"), t.grid.y[k]
 
 
 def test_diagonal_inversion_recovers_y(quasi_dgp):
@@ -255,6 +258,39 @@ def test_infer_estimates_the_table_and_its_fibers_once(tmp_path, monkeypatch):
     assert sum(len(F) for F in fibers) == 51
 
 
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("n_y,n_z", [(1, 1), (255, 1), (256, 1), (257, 1), (300, 1),
+                                     (513, 1), (40, 5)])
+def test_blockwise_errors_equal_the_whole_draw_array(n_y, n_z, side):
+    # n_y x n_pairs cells: one block up to 511 cells, then 257 + 256 (513) and
+    # 300 + 300 (40 x 15 pairs); one-byte draw codes up to 256 grid rows
+    sample = generate_sample(quasi_dgp_spec(), 400, seed=23)
+    grid = EvaluationGrid(y=np.quantile(sample.y, np.linspace(0.02, 0.98, n_y)),
+                          z=np.linspace(0.3, 0.7, n_z))
+    sn, draws = bootstrap_errors(sample, grid, 0.3, B=50, seed=6, side=side)
+    assert draws.dtype == (np.uint8 if n_y <= 256 else np.uint16)
+    want = np.maximum(np.std(grid.y[draws], axis=0, ddof=1), SE_FLOOR)
+    assert sn.shape == want.shape and sn.tobytes() == want.tobytes()
+
+
+def test_band_builds_no_float_array_of_the_draws(monkeypatch):
+    import roybounds.parallel
+
+    # one process, so that tracemalloc sees the draws buffer too
+    monkeypatch.setattr(roybounds.parallel, "_width", lambda: 1)
+    sample = generate_sample(quasi_dgp_spec(), 2000, seed=13)
+    grid = EvaluationGrid.from_sample(sample, 60, 6)
+    B = 1000
+    float_draws = B * grid.y.size * len(_pairs(grid.z.size, "lower")) * 8
+    tracemalloc.start()
+    try:
+        confidence_band(sample, grid, B=B, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float_draws
+
+
 def test_degenerate_sample_hits_se_floor():
     n = 50
     s = ObservationSample(y=np.full(n, 2.0), d=np.ones(n, dtype=np.int8),
@@ -338,8 +374,9 @@ def test_band_deterministic_given_seed(quasi_sample, small_grid):
 def test_zero_variance_single_inequality_collapses_band():
     y = np.linspace(1.0, 2.0, 4)
     grid = EvaluationGrid(y=y, z=np.array([0.5]))
-    theta = np.linspace(0.8, 1.6, 4)[:, None]
-    draws = np.repeat(theta[None, :, :], 60, axis=0)
+    k = np.array([0, 1, 1, 3], dtype=np.uint8)[:, None]
+    theta = y[k]
+    draws = np.repeat(k[None, :, :], 60, axis=0)
     sn = np.full_like(theta, SE_FLOOR)
     Cn, Chat, _, crit = clr_band(theta, draws, sn, ((0, 0),), grid,
                                     alpha=0.05, subset_indices=(0, 2),

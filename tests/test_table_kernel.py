@@ -38,6 +38,7 @@ from roybounds.inference import (
 from roybounds.model import _philox
 
 from conftest import quasi_dgp_spec
+from reference import searchsorted_theta
 
 
 # -- reference: resample, then one full stable argsort per z column ------------
@@ -334,8 +335,10 @@ def test_bootstrap_draws_equal_the_resampling_path():
         _, draws = bootstrap_errors(sample, grid, h, B=B, seed=seed, side=side)
         for b, (F, F0, F1, p) in enumerate(replications):
             G = _fiber_matrix(grid, F, F0, p, side, lsb)
-            theta, _ = _theta(grid.y, F1, np.maximum.accumulate(G, axis=-2), side)
-            assert np.array_equal(draws[b], theta[0]), (side, b)
+            Gstar = np.maximum.accumulate(G, axis=-2)
+            theta, _ = searchsorted_theta(grid.y, F1, Gstar, side)
+            assert np.array_equal(draws[b], _theta(grid.y, F1, Gstar, side)[0][0]), (side, b)
+            assert grid.y[draws[b]].tobytes() == theta[0].tobytes(), (side, b)
 
 
 # -- conditional means against the reference weights over all n records --------
