@@ -8,17 +8,18 @@ lower on a grid of more than 256 y rows, whose draws take two bytes)
 and coverage on the quasi-linear and multiplicative designs, simulate on
 the pure Roy, quadratic, isoelastic, an imperfect-foresight and a
 degenerate pure Roy design (each cost family's closed form and both
-selection rules), coverage, whose references are the population tables,
-on the quadratic, isoelastic, imperfect-foresight and degenerate pure Roy
-designs (every branch of the population tables), simulate and infer
-on a quasi-linear design with a discrete z law, and infer on both sides
-on a quasi-linear sample whose y are rounded to tenths (ties inside every
-kernel window), and simulate, bounds (--mode all), infer on both sides and
-coverage on a quasi-linear design whose lower bound is positive, at small
-sizes and fixed seeds.  Every command runs in OUTDIR with relative paths,
-so the artifacts (whose headers echo the resolved configuration, paths
-included) do not depend on where OUTDIR lies, and two checkouts can be
-compared line by line:
+selection rules) and on quasi-linear designs with a weighted choice and a
+fixed z law (each JSON form of the z law), coverage, whose references are
+the population tables, on the quadratic, isoelastic, imperfect-foresight
+and degenerate pure Roy designs (every branch of the population tables),
+simulate and infer on a quasi-linear design with a discrete z law, and
+infer on both sides on a quasi-linear sample whose y are rounded to tenths
+(ties inside every kernel window), and simulate, bounds (--mode all),
+infer on both sides and coverage on a quasi-linear design whose lower
+bound is positive, at small sizes and fixed seeds.  Every command runs in
+OUTDIR with relative paths, so the artifacts (whose headers echo the
+resolved configuration, paths included) do not depend on where OUTDIR
+lies, and two checkouts can be compared line by line:
 
     python3 scripts/golden_artifacts.py PARENT_CHECKOUT /tmp/a > a.txt
     python3 scripts/golden_artifacts.py .               /tmp/b > b.txt
@@ -61,6 +62,10 @@ SIMULATED = {
     "roy-equal": {"family": "pure_roy",
                   "params": {**AFFINE, "mu1": AFFINE["mu0"], "sigma1": AFFINE["sigma0"],
                              "outcome_corr": 1.0}},
+    # the z law's JSON forms: a choice law with probs, a fixed law
+    "quasi-zprobs": {**DESIGNS["quasi"], "z_law": {
+        "kind": "choice", "values": [0.0, 0.5, 1.0], "probs": [0.25, 0.25, 0.5]}},
+    "quasi-zfixed": {**DESIGNS["quasi"], "z_law": {"kind": "fixed", "value": 0.4}},
 }
 COVERED = ("quad", "iso", "quasi-if", "roy-equal")
 # simulate and one infer on a discrete z law (ties in z), at a bandwidth that

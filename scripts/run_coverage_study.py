@@ -15,7 +15,7 @@ from pathlib import Path
 
 from roybounds import DgpSpec
 from roybounds.coverage import run_coverage
-from roybounds.reporting import json_ready
+from roybounds.reporting import json_ready, result_data
 
 
 def main() -> None:
@@ -46,7 +46,7 @@ def main() -> None:
           f"({report.violations_vs_cost} violations)")
     print(f"nominal level: {1.0 - args.alpha:.3f}")
 
-    payload = json_ready(report.to_dict())
+    payload = json_ready(result_data(report))
     payload["elapsed_seconds"] = round(dt, 1)
     args.output.write_text(json.dumps(payload, indent=2))
     print(f"report written to {args.output}")

@@ -34,7 +34,7 @@ from .reporting import (
     cost_survival,
     ingest_csv,
     json_ready,
-    survival_to_dict,
+    result_data,
     write_band_csv,
     write_coverage_csv,
     write_if_curve_csv,
@@ -241,10 +241,7 @@ def _cmd_estimate(config: RunConfig) -> int:
     table = estimate_tables(sample, grid, config.bandwidth)
     echo = config.echo()
     write_table_csv(table, config.output, echo)
-    write_json_sidecar(config.output, "tables", {
-        "y_grid": grid.y, "z_grid": grid.z, "F": table.F, "F0": table.F0,
-        "F1": table.F1, "p": table.p, "bandwidth": table.bandwidth,
-        "n_obs": table.n_obs}, echo)
+    write_json_sidecar(config.output, "tables", result_data(table), echo)
     return 0
 
 
@@ -289,10 +286,7 @@ def _cmd_bounds(config: RunConfig) -> int:
             cost_grid = np.linspace(0.0, top, config.cost_points)
             rc = random_cost_bounds(table, cost_grid, sample.lower_support_bound)
             write_random_cost_csv(rc, out, echo)
-            write_json_sidecar(out, "random_cost_bounds", {
-                "cost_grid": rc.cost_grid, "z_grid": rc.z_grid, "FL": rc.FL,
-                "FU": rc.FU, "identified_z": rc.identified_z,
-                "p_tol": rc.p_tol}, echo)
+            write_json_sidecar(out, "random_cost_bounds", result_data(rc), echo)
     return 0 if surface is None else _rejection_status(surface)
 
 
@@ -322,7 +316,7 @@ def _cmd_infer(config: RunConfig) -> int:
     survival_out = _tagged(config.output, "survival")
     write_survival_csv(summary, survival_out, echo)
     write_json_sidecar(survival_out, "survival_summary",
-                       survival_to_dict(summary), echo)
+                       result_data(summary, omit=("n_records",)), echo)
     return _rejection_status(surface)
 
 
@@ -346,7 +340,7 @@ def _cmd_coverage(config: RunConfig) -> int:
                           bandwidth=config.bandwidth)
     echo = config.echo()
     write_coverage_csv(report, config.output, echo)
-    write_json_sidecar(config.output, "coverage_report", report.to_dict(), echo)
+    write_json_sidecar(config.output, "coverage_report", result_data(report), echo)
     return 0
 
 

@@ -33,8 +33,8 @@ class CoverageReport:
     alpha: float
     B: int
     seed: int
-    pointwise_vs_lower: np.ndarray
-    pointwise_vs_cost: np.ndarray
+    pointwise_coverage_vs_lower: np.ndarray
+    pointwise_coverage_vs_cost: np.ndarray
     cell_counts: np.ndarray
     uniform_coverage_vs_lower: float
     uniform_coverage_vs_cost: float
@@ -43,27 +43,6 @@ class CoverageReport:
     population_lower: np.ndarray
     population_mask: np.ndarray
     true_cost: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "y_grid": self.grid.y,
-            "z_grid": self.grid.z,
-            "reps": self.reps,
-            "n": self.n,
-            "alpha": self.alpha,
-            "B": self.B,
-            "seed": self.seed,
-            "pointwise_coverage_vs_lower": self.pointwise_vs_lower,
-            "pointwise_coverage_vs_cost": self.pointwise_vs_cost,
-            "cell_counts": self.cell_counts,
-            "uniform_coverage_vs_lower": self.uniform_coverage_vs_lower,
-            "uniform_coverage_vs_cost": self.uniform_coverage_vs_cost,
-            "violations_vs_lower": self.violations_vs_lower,
-            "violations_vs_cost": self.violations_vs_cost,
-            "population_lower": self.population_lower,
-            "population_mask": self.population_mask,
-            "true_cost": self.true_cost,
-        }
 
 
 def default_coverage_grid(dgp: DgpSpec, seed: int) -> EvaluationGrid:
@@ -113,7 +92,8 @@ def run_coverage(dgp: DgpSpec, reps: int, n: int, alpha: float = 0.05,
         pw_lower = np.where(counts > 0, ok_lower / np.maximum(counts, 1), np.nan)
         pw_cost = np.where(counts > 0, ok_cost / np.maximum(counts, 1), np.nan)
     return CoverageReport(grid=grid, reps=reps, n=n, alpha=alpha, B=B, seed=seed,
-                          pointwise_vs_lower=pw_lower, pointwise_vs_cost=pw_cost,
+                          pointwise_coverage_vs_lower=pw_lower,
+                          pointwise_coverage_vs_cost=pw_cost,
                           cell_counts=counts,
                           uniform_coverage_vs_lower=1.0 - uni_lower / reps,
                           uniform_coverage_vs_cost=1.0 - uni_cost / reps,

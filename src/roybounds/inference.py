@@ -194,13 +194,9 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
     k_prelim = max(float(np.quantile(np.max(sub, axis=1), gamma)), 0.0)
 
     z_of_pair, first = _z_runs(pairs)
-    best = np.minimum if side == "lower" else np.maximum
-    theta_best = best.reduceat(theta, first, axis=1)
-    slack = 2.0 * k_prelim * sn
-    if side == "lower":
-        selected = theta <= theta_best[:, z_of_pair] + slack
-    else:
-        selected = theta >= theta_best[:, z_of_pair] - slack
+    # the upper side runs the lower side's rule on -theta; negation is exact
+    theta_best = sign * np.minimum.reduceat(sign * theta, first, axis=1)
+    selected = sign * theta <= sign * theta_best[:, z_of_pair] + 2.0 * k_prelim * sn
 
     keep = selected[sub_idx, :]
     kept_dev = dev[:, keep]
@@ -210,7 +206,7 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
         crit = max(float(np.quantile(np.max(kept_dev, axis=1), 1.0 - alpha)), 0.0)
 
     inflated = theta + sign * crit * sn
-    binding = best.reduceat(inflated, first, axis=1)
+    binding = sign * np.minimum.reduceat(sign * inflated, first, axis=1)
     # the first pair of each z that binds, as argmin or argmax picks it
     at = np.where(inflated == binding[:, z_of_pair], np.arange(theta.shape[1]),
                   theta.shape[1])

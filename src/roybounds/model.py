@@ -14,6 +14,11 @@ Built-in cost families C(y, z) = a + (1 - k) y + c y**2, with (a, k, c) at z:
     quadratic       (0, 1, eta1 - eta0 f)              C = (eta1 - eta0 f)(z) y**2
     isoelastic      (0, exp((s0**2 - s1**2) rho / 2), 0)  C = (1 - k) y
 
+Every family reads the margins mu0, mu1, sigma0, sigma1 and outcome_corr.
+Beside them each reads its own parameters and no other: none (pure_roy),
+g0 and g1 (quasi_linear, multiplicative), eta0, eta1 and f (quadratic),
+rho (isoelastic).  A parameter the family does not read is an error.
+
 Sector choice compares y1 - C(y1, z) against y0 record by record (perfect
 foresight) or compares the two conditional means given z (imperfect
 foresight).  Ties go to sector 1.
@@ -28,7 +33,16 @@ import numpy as np
 
 from .errors import DomainError, InvalidDgpError
 
-FAMILIES = ("pure_roy", "quasi_linear", "multiplicative", "quadratic", "isoelastic")
+# each family's own parameters, read beside the margins every family reads
+_FAMILY_PARAMS = {"pure_roy": (), "quasi_linear": ("g0", "g1"),
+                  "multiplicative": ("g0", "g1"), "quadratic": ("eta0", "eta1", "f"),
+                  "isoelastic": ("rho",)}
+FAMILIES = tuple(_FAMILY_PARAMS)
+_MARGINS = ("mu0", "mu1", "sigma0", "sigma1", "outcome_corr")
+_OWN_PARAMS = tuple(dict.fromkeys(name for own in _FAMILY_PARAMS.values() for name in own))
+# the fields of each z law kind
+_ZLAW_FIELDS = {"uniform": ("low", "high"), "choice": ("values", "probs"),
+                "fixed": ("value",)}
 
 _PROBE_POINTS = 33  # z probe resolution for closed-form shape validation
 _ZPARAMS = ("mu0", "mu1", "sigma0", "sigma1", "g0", "g1", "eta0", "eta1", "f")
@@ -89,8 +103,7 @@ class ZLaw:
     value: float = 0.0
 
     def __post_init__(self):
-        numbers = {"uniform": ("low", "high"), "choice": ("values", "probs"),
-                   "fixed": ("value",)}.get(self.kind)
+        numbers = _ZLAW_FIELDS.get(self.kind)
         if numbers is None:
             raise InvalidDgpError(f"unknown z law kind {self.kind!r}")
         for name in numbers:
@@ -124,31 +137,28 @@ class ZLaw:
         return np.array([self.value])
 
     def to_json(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform", "low": self.low, "high": self.high}
-        if self.kind == "choice":
-            out = {"kind": "choice", "values": list(self.values)}
-            if self.probs:
-                out["probs"] = list(self.probs)
-            return out
-        return {"kind": "fixed", "value": self.value}
+        out = {"kind": self.kind}
+        for name in _ZLAW_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                if not value:  # no probs: equal weights
+                    continue
+                value = list(value)
+            out[name] = value
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "ZLaw":
-        kind = obj.get("kind", "uniform") if isinstance(obj, dict) else None
+        """kind (default uniform) and each field of that kind, probs optional."""
         try:
-            if kind == "uniform":
-                return ZLaw(kind="uniform", low=_number(obj["low"]),
-                            high=_number(obj["high"]))
-            if kind == "choice":
-                return ZLaw(
-                    kind="choice",
-                    values=tuple(_number(v) for v in obj["values"]),
-                    probs=tuple(_number(p) for p in obj.get("probs", ())),
-                )
-            if kind == "fixed":
-                return ZLaw(kind="fixed", value=_number(obj["value"]))
-        except (KeyError, TypeError, ValueError):
+            kind = obj.get("kind", "uniform")
+            names = _ZLAW_FIELDS[kind]
+            if set(obj) <= {"kind", *names}:
+                return ZLaw(kind=kind, **{
+                    name: (tuple(map(_number, obj[name])) if name in ("values", "probs")
+                           else _number(obj[name]))
+                    for name in names if name != "probs" or name in obj})
+        except (AttributeError, KeyError, TypeError, ValueError):
             pass
         raise InvalidDgpError(f"malformed z law {obj!r}")
 
@@ -277,6 +287,12 @@ class DgpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidDgpError(f"unknown family {self.family!r}")
+        own = _FAMILY_PARAMS[self.family]
+        unread = [name for name in _OWN_PARAMS
+                  if name not in own and getattr(self, name) is not None]
+        if unread:
+            raise InvalidDgpError(f"dgp family {self.family} does not read "
+                                  f"{', '.join(unread)}")
         if self.foresight not in ("perfect", "imperfect"):
             raise InvalidDgpError(f"unknown foresight {self.foresight!r}")
         z = self.z_law.support_probe()
@@ -294,14 +310,10 @@ class DgpSpec:
                 raise InvalidDgpError(f"dgp value {name} must be finite")
         if not -1.0 <= self.outcome_corr <= 1.0:
             raise InvalidDgpError("outcome_corr must lie in [-1, 1]")
-        if self.family == "quasi_linear" and (self.g0 is None or self.g1 is None):
-            raise InvalidDgpError("quasi_linear needs g0 and g1")
-        if self.family == "multiplicative" and (self.g0 is None or self.g1 is None):
-            raise InvalidDgpError("multiplicative needs g0 and g1")
-        if self.family == "quadratic" and (self.eta0 is None or self.eta1 is None or self.f is None):
-            raise InvalidDgpError("quadratic needs eta0, eta1 and f")
-        if self.family == "isoelastic" and self.rho is None:
-            raise InvalidDgpError("isoelastic needs rho")
+        if any(getattr(self, name) is None for name in own):
+            *rest, last = own
+            raise InvalidDgpError(f"{self.family} needs "
+                                  f"{', '.join(rest) + ' and ' if rest else ''}{last}")
         self._validate_shape(z)
 
     # -- closed-form validation of the two cost-shape restrictions ----------
@@ -440,20 +452,11 @@ class DgpSpec:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        params: dict = {
-            "mu0": self.mu0.spec(), "mu1": self.mu1.spec(),
-            "sigma0": self.sigma0.spec(), "sigma1": self.sigma1.spec(),
-            "outcome_corr": self.outcome_corr,
-        }
-        for name in ("g0", "g1", "eta0", "eta1", "f"):
-            fn = getattr(self, name)
-            if fn is not None:
-                params[name] = fn.spec()
-        if self.rho is not None:
-            params["rho"] = self.rho
+        names = (*_MARGINS, *_FAMILY_PARAMS[self.family])
         return {
             "family": self.family,
-            "params": params,
+            "params": {name: getattr(self, name).spec() if name in _ZPARAMS
+                       else getattr(self, name) for name in names},
             "foresight": self.foresight,
             "z_law": self.z_law.to_json(),
             "lower_support_bound": self.lower_support_bound,
@@ -465,7 +468,10 @@ class DgpSpec:
         if not isinstance(params, dict) or "family" not in obj:
             raise InvalidDgpError("dgp must be a JSON object with a family "
                                   "and an optional params object")
-        unknown = set(params) - {*_ZPARAMS, "outcome_corr", "rho"}
+        unknown = set(obj) - {"family", "params", "foresight", "z_law", "lower_support_bound"}
+        if unknown:
+            raise InvalidDgpError(f"unknown dgp key(s) {sorted(unknown)}")
+        unknown = set(params) - {*_MARGINS, *_OWN_PARAMS}
         if unknown:
             raise InvalidDgpError(f"unknown dgp parameter(s) {sorted(unknown)}")
         kw = {**params, "lower_support_bound": obj.get("lower_support_bound", 0.0)}

@@ -13,7 +13,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +83,18 @@ def write_json_sidecar(csv_path, artifact: str, data: dict, config=None) -> Path
                "data": json_ready(data)}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def result_data(result, omit=()) -> dict:
+    """A result's dataclass fields as sidecar data, a ``grid`` as y_grid and z_grid."""
+    data = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if f.name == "grid":
+            data.update(y_grid=value.y, z_grid=value.z)
+        elif f.name not in omit:
+            data[f.name] = value
+    return data
 
 
 def _is_record(line: str) -> bool:
@@ -236,8 +248,8 @@ def write_band_csv(band: ConfidenceBand, path, config=None) -> None:
 def write_coverage_csv(report: CoverageReport, path, config=None) -> None:
     _write_grid_long(path, config, report.grid.y, report.grid.z,
                      ["coverage_vs_lower", "coverage_vs_cost", "count"],
-                     [report.pointwise_vs_lower, report.pointwise_vs_cost,
-                      report.cell_counts])
+                     [report.pointwise_coverage_vs_lower,
+                      report.pointwise_coverage_vs_cost, report.cell_counts])
 
 
 def band_values_at(band: ConfidenceBand, y, z):
@@ -352,17 +364,3 @@ def write_survival_csv(summary: SurvivalSummary, path, config=None) -> None:
 
     _write_csv(path, config, ["kind", "threshold", "zbin", "proportion", "count"], rows())
 
-
-def survival_to_dict(summary: SurvivalSummary) -> dict:
-    return {
-        "thresholds_abs": summary.thresholds_abs,
-        "thresholds_ratio": summary.thresholds_ratio,
-        "bin_edges": summary.bin_edges,
-        "bin_counts": list(summary.bin_counts),
-        "prop_abs": summary.prop_abs,
-        "prop_ratio": summary.prop_ratio,
-        "pooled_abs": summary.pooled_abs,
-        "pooled_ratio": summary.pooled_ratio,
-        "clamped_count": summary.clamped_count,
-        "ratio_excluded": summary.ratio_excluded,
-    }

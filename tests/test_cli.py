@@ -411,6 +411,49 @@ def test_bounds_mode_all_writes_three_artifacts(tmp_path):
         assert _sidecar(csv_path)["artifact"] == artifact
 
 
+# the data keys of each sidecar kind; four sidecars hold their result's
+# dataclass fields, so a new field shows here before it reaches an artifact
+_SIDECAR_KEYS = {
+    "sample": {"n", "lower_support_bound", "dgp"},
+    "tables": {"y_grid", "z_grid", "F", "F0", "F1", "p", "bandwidth", "n_obs"},
+    "bound_surface": {"y_grid", "z_grid", "clow", "chigh", "identified",
+                      "crossing_rejected", "crossing_worst_gap", "crossing_tol",
+                      "sandwich_rejected", "identification_tol"},
+    "if_bound_curve": {"z_grid", "m", "m0b", "p", "clow", "chigh", "p_tol",
+                       "testability_rejected", "testability_worst"},
+    "random_cost_bounds": {"cost_grid", "z_grid", "FL", "FU", "identified_z", "p_tol"},
+    "confidence_band": {"y_grid", "z_grid", "Cn", "estimate", "se", "critical_value",
+                        "identified", "alpha", "B", "seed", "bandwidth", "side",
+                        "subset_indices", "crossing_rejected"},
+    "survival_summary": {"thresholds_abs", "thresholds_ratio", "bin_edges", "bin_counts",
+                         "prop_abs", "prop_ratio", "pooled_abs", "pooled_ratio",
+                         "clamped_count", "ratio_excluded"},
+    "coverage_report": {"y_grid", "z_grid", "reps", "n", "alpha", "B", "seed",
+                        "pointwise_coverage_vs_lower", "pointwise_coverage_vs_cost",
+                        "cell_counts", "uniform_coverage_vs_lower",
+                        "uniform_coverage_vs_cost", "violations_vs_lower",
+                        "violations_vs_cost", "population_lower", "population_mask",
+                        "true_cost"},
+}
+
+
+def test_each_sidecar_holds_exactly_its_keys(tmp_path):
+    sample = _simulated(tmp_path, n=600, seed=3)
+    grid = ["--grid-y", "25", "--grid-z", "4"]
+    for argv in (["estimate", "--input", sample, *grid],
+                 ["bounds", "--input", sample, "--mode", "all", *grid],
+                 ["infer", "--input", sample, "--bootstrap", "50", *grid],
+                 ["coverage", "--config", _config_file(tmp_path), "--n", "300",
+                  "--reps", "1", "--bootstrap", "50"]):
+        assert main([*argv, "--output", str(tmp_path / f"{argv[0]}.csv")]) == 0
+    keys = {}
+    for path in tmp_path.glob("*.json"):
+        if path.name != "config.json":
+            side = json.loads(path.read_text())
+            keys[side["artifact"]] = set(side["data"])
+    assert keys == _SIDECAR_KEYS
+
+
 # the one stderr line of an exit 2
 _REJECTED = re.compile(r"rejected: (envelopes|sandwich) cross by \S+ > tol \S+ at y=\S+, z=\S+\n")
 
@@ -517,14 +560,18 @@ def _params_with(**changes):
     _dgp_with(lower_support_bound=True),
     _dgp_with(z_law={"kind": "uniform", "low": False, "high": 1.0}),
     _dgp_with(z_law={"kind": "choice", "values": [0.2, True]}),
-    _dgp_with(z_law={"kind": "fixed", "value": True})],
+    _dgp_with(z_law={"kind": "fixed", "value": True}),
+    _params_with(rho=7.0, eta0=0.4),
+    _dgp_with(forsight="imperfect"),
+    _dgp_with(z_law={"kind": "uniform", "low": 0.0, "high": 1.0, "values": [0.5]})],
     ids=["no-family", "bogus-z-law-kind", "text-z-law-bound", "text-z-law",
          "text-param", "unknown-param", "short-pair", "no-intercept",
          "text-params", "text-lower-bound", "text-dgp", "probs-sum-above-one",
          "negative-probs", "nan-param", "infinite-z-law-bound",
          "nan-lower-bound", "bool-param", "bool-in-pair", "bool-slope",
          "bool-scalar", "bool-lower-bound", "bool-z-law-bound", "bool-z-law-value",
-         "bool-z-law-fixed"])
+         "bool-z-law-fixed", "unread-family-param", "misspelled-dgp-key",
+         "foreign-z-law-key"])
 @pytest.mark.parametrize("command", ["simulate", "coverage"])
 def test_malformed_dgp_is_a_one_line_error(tmp_path, capsys, dgp, command):
     out = tmp_path / "out.csv"

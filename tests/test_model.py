@@ -112,6 +112,26 @@ def test_malformed_dgp_values_are_rejected_at_construction(field, value):
         DgpSpec.quasi_linear(**{**_QUASI, field: value})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: DgpSpec.quasi_linear(**_QUASI, rho=2.0), "quasi_linear does not read rho"),
+    (lambda: DgpSpec.pure_roy(mu=0.0, sigma=0.5, g0=1.0, f=0.5),
+     "pure_roy does not read g0, f"),
+    (lambda: DgpSpec.isoelastic(mu0=0.0, mu1=0.0, sigma0=0.5, sigma1=0.6, rho=2.0,
+                                eta0=0.1), "isoelastic does not read eta0")],
+    ids=["quasi-rho", "roy-g0-f", "iso-eta0"])
+def test_family_rejects_parameters_it_does_not_read(build, message):
+    with pytest.raises(InvalidDgpError, match=f"^dgp family {message}$"):
+        build()
+
+
+@pytest.mark.parametrize("family, message", [
+    ("quasi_linear", "g0 and g1"), ("multiplicative", "g0 and g1"),
+    ("quadratic", "eta0, eta1 and f"), ("isoelastic", "rho")])
+def test_family_names_the_parameters_it_needs(family, message):
+    with pytest.raises(InvalidDgpError, match=f"^{family} needs {message}$"):
+        DgpSpec(family=family)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(InvalidDgpError):
         DgpSpec(family="nope")

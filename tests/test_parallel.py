@@ -19,6 +19,7 @@ from roybounds.coverage import run_coverage
 from roybounds.inference import _CHUNK_ENTRIES, _pairs, bootstrap_errors
 from roybounds.model import EvaluationGrid, generate_sample
 from roybounds.parallel import fork_join
+from roybounds.reporting import result_data
 
 from conftest import quasi_dgp_spec
 
@@ -57,8 +58,8 @@ def test_coverage_report_is_equal_at_every_width(monkeypatch):
     reports = []
     for width in (1, 2):
         _at_width(monkeypatch, width)
-        reports.append(run_coverage(quasi_dgp_spec(), reps=3, n=300, B=50, seed=4)
-                       .to_dict())
+        reports.append(result_data(run_coverage(quasi_dgp_spec(), reps=3, n=300,
+                                                B=50, seed=4)))
     assert reports[0].keys() == reports[1].keys()
     for key, value in reports[0].items():
         other = reports[1][key]

@@ -30,7 +30,7 @@ from roybounds.errors import DomainError
 from roybounds.reporting import (
     fmt,
     json_ready,
-    survival_to_dict,
+    result_data,
     write_if_curve_csv,
     write_survival_csv,
 )
@@ -490,7 +490,7 @@ def test_survival_empty_bin_is_nan_not_error(tmp_path):
     write_survival_csv(summary, p)
     cols, _ = read_long_csv(p)
     assert np.any(np.isnan(cols["proportion"]))
-    payload = json.dumps(json_ready(survival_to_dict(summary)))
+    payload = json.dumps(json_ready(result_data(summary, omit=("n_records",))))
     assert "NaN" not in payload
 
 
