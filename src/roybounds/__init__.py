@@ -21,8 +21,6 @@ from .bounds import (
 from .coverage import CoverageReport, default_coverage_grid, run_coverage
 from .envelopes import (
     CrossingReport,
-    EnvelopeTable,
-    SandwichTable,
     crossing_test,
     envelope_table,
     lower_envelope,
@@ -76,8 +74,8 @@ __all__ = [
     "cost_bounds_if", "cost_bounds_pf", "if_bounds_from_moments",
     "random_cost_bounds", "testability_if",
     "CoverageReport", "default_coverage_grid", "run_coverage",
-    "CrossingReport", "EnvelopeTable", "SandwichTable", "crossing_test",
-    "envelope_table", "lower_envelope", "sandwich", "upper_envelope",
+    "CrossingReport", "crossing_test", "envelope_table", "lower_envelope",
+    "sandwich", "upper_envelope",
     "ConfigError", "DomainError", "InvalidDgpError", "NoSupportError",
     "RoyBoundsError",
     "ConditionalCdfTable", "conditional_mean", "estimate_tables",

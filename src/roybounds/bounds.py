@@ -58,15 +58,15 @@ def cost_bounds_pf(table: ConditionalCdfTable, lower_support_bound: float = 0.0,
     L <= U entrywise forces Clow <= Chigh at every identified cell.
     """
     id_tol = identification_tol(table.n_obs)
-    env = envelope_table(table, lower_support_bound)
-    report = crossing_test(env.Flow, env.Fhigh, crossing_tol)
-    sw = sandwich(table, env.Flow, env.Fhigh)
-    sandwich_report = crossing_test(sw.L, sw.U, crossing_tol)
+    Flow, Fhigh = envelope_table(table, lower_support_bound)
+    report = crossing_test(Flow, Fhigh, crossing_tol)
+    L, U = sandwich(table, Flow, Fhigh)
+    sandwich_report = crossing_test(L, U, crossing_tol)
 
     y = table.grid.y
     x = table.F1
-    idx_low = _inverse_count(sw.L, x, "lower")
-    idx_up = _inverse_count(sw.U, x, "upper")
+    idx_low = _inverse_count(L, x, "lower")
+    idx_up = _inverse_count(U, x, "upper")
     # U never reaching x leaves the upper inverse's set empty on the grid;
     # the cell goes dark rather than carrying a -inf bound
     mask = (x >= id_tol) & (idx_up < y.size)
@@ -184,7 +184,7 @@ def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
     if cost_grid.ndim != 1 or cost_grid.size == 0:
         raise DomainError("cost grid must be a nonempty vector")
     p_tol = identification_tol(table.n_obs)
-    env = envelope_table(table, lower_support_bound)
+    Flow, Fhigh = envelope_table(table, lower_support_bound)
     y = table.grid.y
     nz = table.grid.z.size
     FL = np.full((cost_grid.size, nz), np.nan)
@@ -198,8 +198,8 @@ def random_cost_bounds(table: ConditionalCdfTable, cost_grid,
     for iz in np.flatnonzero(identified):
         p = table.p[iz]
         cond = np.clip(table.F1[:, iz] / p, 0.0, 1.0)
-        low = np.clip((env.Flow[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
-        high = np.clip((env.Fhigh[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
+        low = np.clip((Flow[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
+        high = np.clip((Fhigh[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
         # running max keeps low <= high since both pass through the same map
         cond, low, high = (np.concatenate([[0.0], np.maximum.accumulate(v)])
                            for v in (cond, low, high))

@@ -29,7 +29,7 @@ from .coverage import run_coverage
 from .errors import ConfigError, RoyBoundsError
 from .estimation import estimate_tables
 from .inference import confidence_band
-from .model import DgpSpec, EvaluationGrid, generate_sample
+from .model import DgpSpec, EvaluationGrid, _number, generate_sample
 from .reporting import (
     cost_survival,
     ingest_csv,
@@ -136,11 +136,11 @@ class RunConfig:
         if self.side not in _SIDES:
             raise ConfigError(f"unknown band side {self.side!r}")
         if self.z_bins is not None:
-            try:
-                edges = np.asarray(self.z_bins, dtype=float)
+            try:  # each edge a number, as each subset index is an int
+                edges = np.array([_number(e) for e in self.z_bins])
             except (TypeError, ValueError):
                 edges = np.empty(0)
-            if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+            if (edges.size < 2 or not np.all(np.isfinite(edges))
                     or np.any(np.diff(edges) <= 0)):
                 raise ConfigError("z-bins must be at least 2 finite, strictly "
                                   f"increasing edges, got {self.z_bins!r}")

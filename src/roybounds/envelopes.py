@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError
 from .estimation import ConditionalCdfTable
-from .model import EvaluationGrid
 
 
 def lower_envelope(table: ConditionalCdfTable) -> np.ndarray:
@@ -45,21 +44,9 @@ def upper_envelope(table: ConditionalCdfTable, lower_support_bound: float = 0.0)
     return np.minimum.accumulate(worst, axis=1)
 
 
-@dataclass(frozen=True)
-class EnvelopeTable:
-    """Pointwise envelopes (Flow, Fhigh) on a shared grid."""
-
-    grid: EvaluationGrid
-    Flow: np.ndarray
-    Fhigh: np.ndarray
-
-
-def envelope_table(table: ConditionalCdfTable, lower_support_bound: float = 0.0) -> EnvelopeTable:
-    return EnvelopeTable(
-        grid=table.grid,
-        Flow=lower_envelope(table),
-        Fhigh=upper_envelope(table, lower_support_bound),
-    )
+def envelope_table(table: ConditionalCdfTable, lower_support_bound: float = 0.0) -> tuple:
+    """The pointwise envelopes (Flow, Fhigh) on the table's grid."""
+    return lower_envelope(table), upper_envelope(table, lower_support_bound)
 
 
 @dataclass(frozen=True)
@@ -88,19 +75,11 @@ def crossing_test(Flow: np.ndarray, Fhigh: np.ndarray, tol: float = 1e-9) -> Cro
     return CrossingReport(rejected=True, worst_gap=worst, locations=locations, tol=tol)
 
 
-@dataclass(frozen=True)
-class SandwichTable:
-    """Running-extremum bounds L <= P(Y - C(Y,Z) <= y, D=1 | z) <= U."""
-
-    grid: EvaluationGrid
-    L: np.ndarray
-    U: np.ndarray
-
-
-def sandwich(table: ConditionalCdfTable, Flow: np.ndarray, Fhigh: np.ndarray) -> SandwichTable:
+def sandwich(table: ConditionalCdfTable, Flow: np.ndarray, Fhigh: np.ndarray) -> tuple:
+    """The running-extremum bounds (L, U): L <= P(Y - C(Y,Z) <= y, D=1 | z) <= U."""
     L = np.maximum.accumulate(Flow - table.F0, axis=0)
     U = np.flip(np.minimum.accumulate(np.flip(Fhigh - table.F0, axis=0), axis=0), axis=0)
-    return SandwichTable(grid=table.grid, L=L, U=U)
+    return L, U
 
 
 def _inverse_count(values: np.ndarray, targets: np.ndarray, side: str) -> np.ndarray:

@@ -7,8 +7,8 @@ intercept is a fixed linear functional of the records once z0 and the
 bandwidth are fixed: one set of weights per z column, over the records in
 its kernel window, computed in one place (``_Windows.weights``).
 ``TableKernel`` applies them as weighted cumulative sums over a y grid, for
-a sample and for any bootstrap index draw from it; ``conditional_mean``
-applies them to one response vector.
+any index draw from a sample, the sample itself being the identity draw;
+``conditional_mean`` applies them to one response vector.
 
 The sample is sorted by z once, and each window is a contiguous range of z
 ranks, found by bisection in O(m + log n) for its m records.  A draw is
@@ -198,19 +198,18 @@ class TableKernel:
     """Local linear CDF tables of one sample, or of any index draw from it.
 
     A draw ``idx`` stands for the resample ``(y[idx], d[idx], z[idx])``, as a
-    pairs bootstrap makes it, and None for the sample itself; ``tables``
-    returns the tables of a stack of draws without building any resample.
-    The constructor ranks y once, sorts z once and finds each z column's
-    window as a range of z ranks, with its records' y ranks and d in z
-    order.  The window bounds cut the z ranks into segments, and each record
-    carries its segment's small-int id.
+    pairs bootstrap makes it (``np.arange(n)`` is the sample itself);
+    ``tables`` returns the tables of a stack of draws without building any
+    resample.  The constructor ranks y once, sorts z once and finds each z
+    column's window as a range of z ranks, with its records' y ranks and d
+    in z order.  The window bounds cut the z ranks into segments, and each
+    record carries its segment's small-int id.
 
     Per draw, one gather of the records' z ranks and segment ids and one
     stable (radix) argsort of the ids group the draw positions by segment;
     each (draw, column) cell's in-window positions are then one slice of
-    that permutation (for the sample itself, the z order is that
-    permutation).  Consecutive cells form groups, and a group costs a fixed
-    set of numpy calls, however many cells it holds:
+    that permutation.  Consecutive cells form groups, and a group costs a
+    fixed set of numpy calls, however many cells it holds:
 
     * the intercept weights come from ``_Windows.weights``;
     * one argsort by (cell, y rank, draw position) orders each cell's
@@ -261,8 +260,7 @@ class TableKernel:
         self._seg = np.empty(n, dtype=np.min_scalar_type(ids[-1]))
         self._seg[win.order] = np.repeat(ids, np.diff(starts))
         self._spans = np.searchsorted(starts, np.column_stack((win.lo, win.hi))).tolist()
-        self._ymax = y_sorted[-1]
-        self._starts = starts.tolist()
+        self._nseg = ids.size
         # a record's y is at most grid.y[i] exactly when its key
         # rank * (n + 1) + draw position lies below ykey[i], and every key
         # lies below _stride - 1, where p is read.  Cell c of a group has
@@ -312,13 +310,10 @@ class TableKernel:
         return F, F1, np.ascontiguousarray(raw[1, ..., ny])
 
     def _draw(self, idx) -> tuple:
-        """The one pass over a draw: its largest y, its positions by segment
-        (for the sample, the z order), the z rank of each draw position, and
-        where each segment starts."""
-        if idx is None:
-            return self._ymax, self._win.order, self._zrank, self._starts
+        """The one pass over a draw: its largest y, its positions by segment,
+        the z rank of each draw position, and where each segment starts."""
         seg = self._seg[idx]
-        counts = np.bincount(seg, minlength=len(self._starts) - 1)
+        counts = np.bincount(seg, minlength=self._nseg)
         return (np.max(self.sample.y[idx]), np.argsort(seg, kind="stable"),
                 self._zrank[idx], [0] + np.cumsum(counts).tolist())
 
@@ -393,13 +388,15 @@ def estimate_tables(sample: ObservationSample, grid: EvaluationGrid,
 
     One set of local linear weights is computed per z column and applied to
     every indicator response via a weighted cumulative sum over the records
-    inside the column's kernel window (``TableKernel``).  The cost is one
-    O(n log n) sort each of y and z, O(m + log n) per z column to find its
-    window of m records, and O(m log m + n_y log m) per column plus one
-    contiguous sum of 3n floats, then the repair of ``_repair_columns``.
+    inside the column's kernel window (``TableKernel``), on the identity
+    draw ``np.arange(n)``.  The cost is one O(n log n) sort each of y and z,
+    O(m + log n) per z column to find its window of m records, the draw's
+    O(n) pass, and O(m log m + n_y log m) per column plus one contiguous sum
+    of 3n floats, then the repair of ``_repair_columns``.
     """
     kernel = TableKernel(sample, grid, bandwidth)
-    F, F0, F1, p = (a[0] for a in kernel.tables([None]))  # a stack of one
+    # the identity draw, a stack of one
+    F, F0, F1, p = (a[0] for a in kernel.tables([np.arange(sample.n)]))
     return ConditionalCdfTable(grid=grid, F=F, F0=F0, F1=F1, p=p,
                                bandwidth=kernel.bandwidth, n_obs=sample.n)
 

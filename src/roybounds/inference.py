@@ -4,12 +4,13 @@ Pipeline for the lower-bound band, mirrored for the upper:
 
   1. estimate conditional cdf tables on the grid;
   2. build fibers G(ytilde | z, ztilde) = F(ytilde | ztilde) - F0(ytilde | z)
-     for ztilde >= z and make each fiber non-decreasing in ytilde by its
-     running max, the lower sandwich's own rule.  A flat stretch stays flat,
-     so a fiber that ties with its target inverts past y as the sharp bound
-     does: the lower band's point estimate, floored at 0, is the pf lower
-     bound on the cells both identify.  The upper fibers take the same
-     running max, not the upper sandwich's running min from above;
+     for ztilde >= z, each made non-decreasing in ytilde by its running max
+     where ``_fiber_matrix`` builds it, for the point estimate and every
+     bootstrap chunk alike: the lower sandwich's own rule.  A flat stretch
+     stays flat, so a fiber that ties with its target inverts past y as the
+     sharp bound does: the lower band's point estimate, floored at 0, is the
+     pf lower bound on the cells both identify.  The upper fibers take the
+     same running max, not the upper sandwich's running min from above;
   3. invert every fiber at x = F1(y|z) by the envelope module's inverse
      count, the one the cost bounds invert the sandwich functions with;
   4. pairs bootstrap of whole records: each replication draws n record
@@ -69,30 +70,31 @@ def _pairs(nz: int, side: str) -> tuple:
     raise DomainError(f"unknown band side {side!r}")
 
 
-def _z_runs(pairs) -> tuple:
+def _z_runs(nz: int, side: str) -> tuple:
     """Each pair's z, and where each z's run starts (pairs run z by z)."""
-    z_of_pair = np.array([i for i, _ in pairs])
+    z_of_pair = np.array([i for i, _ in _pairs(nz, side)])
     return z_of_pair, np.flatnonzero(np.diff(z_of_pair, prepend=-1))
 
 
 def _fiber_matrix(grid: EvaluationGrid, F: np.ndarray, F0: np.ndarray,
                   p: np.ndarray, side: str, lower_support_bound: float) -> np.ndarray:
     """Fibers G (c, n_y, n_pairs) of a stack F, F0 (c, n_y, n_z), p (c, n_z), one
-    per pair (i, j): F(.|j) - F0(.|i) (lower), F0(.|j) + p(j) 1{y >= b} - F0(.|i)."""
+    per pair (i, j): F(.|j) - F0(.|i) (lower), F0(.|j) + p(j) 1{y >= b} - F0(.|i)
+    (upper), each made non-decreasing in y by its running max."""
     i, j = np.array(_pairs(grid.z.size, side)).T
     top = F if side == "lower" else _worst_case_cdf(grid.y, F0, p, lower_support_bound)
-    return top[..., j] - F0[..., i]
+    return np.maximum.accumulate(top[..., j] - F0[..., i], axis=-2)
 
 
-def _theta(y: np.ndarray, F1: np.ndarray, Gstar: np.ndarray, side: str) -> tuple:
-    """Invert the non-decreasing fiber of each pair (i, j) in Gstar at every
+def _theta(y: np.ndarray, F1: np.ndarray, G: np.ndarray, side: str) -> tuple:
+    """Invert the non-decreasing fiber of each pair (i, j) in G at every
     F1(y|i); return theta as its index into ``y`` and the inverses clamped at
     the uninformative end (target outside the fiber's range), all
     (c, n_y, n_pairs).
     """
     ny = y.size
     i, _ = np.array(_pairs(F1.shape[-1], side)).T
-    idx = _inverse_count(Gstar, F1[..., i], side)
+    idx = _inverse_count(G, F1[..., i], side)
     if side == "lower":
         return np.minimum(idx, ny - 1), idx == 0
     return np.where(idx >= ny, ny - 1, np.maximum(idx - 1, 0)), (idx == ny) | (idx == 0)
@@ -129,7 +131,7 @@ def bootstrap_errors(sample: ObservationSample, grid: EvaluationGrid,
             F, F0, F1, p = kernel.tables(_philox(s).integers(0, sample.n, size=sample.n)
                                          for s in seeds[a:b])
             G = _fiber_matrix(grid, F, F0, p, side, sample.lower_support_bound)
-            draws[a:b] = _theta(grid.y, F1, np.maximum.accumulate(G, axis=-2), side)[0]
+            draws[a:b] = _theta(grid.y, F1, G, side)[0]
 
     draws = fork_join(run, B, shape, np.min_scalar_type(shape[0] - 1))
     flat = draws.reshape(B, -1)
@@ -162,7 +164,7 @@ def default_selection_subset(y_grid: np.ndarray, y_obs: np.ndarray) -> tuple:
     return tuple(int(i) for i in idx)
 
 
-def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
+def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray,
              grid: EvaluationGrid, alpha: float, subset_indices,
              n_obs: int, side: str = "lower") -> tuple:
     """Two-stage critical value and band assembly.
@@ -170,11 +172,11 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
     ``theta`` (n_y, n_pairs) holds the point estimate's inverses as grid
     values and ``draws`` (B, n_y, n_pairs) the bootstrap's as indices into
     ``grid.y``, as ``bootstrap_errors`` returns them; only the selection
-    rows of the draws are gathered.  ``pairs`` run z by z, as ``_pairs``
-    makes them.  Returns (Cn, Chat, se_binding, critical value).  The final
-    critical value is the (1-alpha) quantile of the bootstrap max over kept
-    cells, uniform across the grid, floored at zero so the band never
-    exceeds the point estimate.
+    rows of the draws are gathered.  The pairs run z by z, as
+    ``_pairs(grid.z.size, side)`` makes them.  Returns (Cn, Chat,
+    se_binding, critical value).  The final critical value is the
+    (1-alpha) quantile of the bootstrap max over kept cells, uniform across
+    the grid, floored at zero so the band never exceeds the point estimate.
     """
     if not 0.0 < alpha <= 0.5:
         raise ConfigError(f"alpha must lie in (0, 0.5], got {alpha}")
@@ -193,7 +195,7 @@ def clr_band(theta: np.ndarray, draws: np.ndarray, sn: np.ndarray, pairs,
     gamma = 1.0 - 0.1 / max(np.log(n_obs), 1.0)
     k_prelim = max(float(np.quantile(np.max(sub, axis=1), gamma)), 0.0)
 
-    z_of_pair, first = _z_runs(pairs)
+    z_of_pair, first = _z_runs(grid.z.size, side)
     # the upper side runs the lower side's rule on -theta; negation is exact
     theta_best = sign * np.minimum.reduceat(sign * theta, first, axis=1)
     selected = sign * theta <= sign * theta_best[:, z_of_pair] + 2.0 * k_prelim * sn
@@ -230,18 +232,16 @@ def confidence_band(sample: ObservationSample, grid: EvaluationGrid,
     table = estimate_tables(sample, grid, bandwidth)
     F, F0, F1, p = (a[None] for a in (table.F, table.F0, table.F1, table.p))
     G = _fiber_matrix(grid, F, F0, p, side, sample.lower_support_bound)
-    Gstar = np.maximum.accumulate(G, axis=-2)
-    k, clamped = (a[0] for a in _theta(grid.y, F1, Gstar, side))
+    k, clamped = (a[0] for a in _theta(grid.y, F1, G, side))
     theta = grid.y[k]
-    pairs = _pairs(grid.z.size, side)
     sn, draws = bootstrap_errors(sample, grid, table.bandwidth, B, seed, side=side)
     if subset_indices is None:
         subset_indices = default_selection_subset(grid.y, sample.y)
-    Cn, Chat, se_binding, crit = clr_band(theta, draws, sn, pairs, grid, alpha,
+    Cn, Chat, se_binding, crit = clr_band(theta, draws, sn, grid, alpha,
                                           subset_indices, sample.n, side)
 
     mask = ((table.F1 >= identification_tol(table.n_obs))
-            & ~np.logical_or.reduceat(clamped, _z_runs(pairs)[1], axis=1))
+            & ~np.logical_or.reduceat(clamped, _z_runs(grid.z.size, side)[1], axis=1))
     return ConfidenceBand(Cn=Cn, Chat=Chat, se=se_binding,
                           critical_value=crit,
                           identified_mask=mask, alpha=alpha, B=B, seed=seed, side=side,

@@ -67,10 +67,14 @@ class AffineInZ:
 
 
 def _number(value) -> float:
-    """float(value), refusing a bool: JSON true is no number here."""
-    if isinstance(value, (bool, np.bool_)):
+    """float(value), refusing a bool or a string: JSON true or "0.5" is no
+    number here, and an integer beyond the float range is a ValueError."""
+    if isinstance(value, (bool, np.bool_, str)):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is beyond the float range") from None
 
 
 def as_zparam(value):

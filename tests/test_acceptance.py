@@ -289,8 +289,8 @@ def test_criterion_7_envelope_algebra():
     n_rejected = 0
     for k, dgp in enumerate(draws):
         grid = interior_grid(dgp, n_y=30, n_z=5, seed=2000 + k)
-        env = envelope_table(population_tables(dgp, grid), 0.0)
-        n_rejected += int(crossing_test(env.Flow, env.Fhigh, tol=1e-9).rejected)
+        Flow, Fhigh = envelope_table(population_tables(dgp, grid), 0.0)
+        n_rejected += int(crossing_test(Flow, Fhigh, tol=1e-9).rejected)
     _verdict("criterion-7",
              idem_ok and minimal_ok and n_rejected == 0,
              f"idempotence exact={idem_ok}, minimality={minimal_ok} "

@@ -346,8 +346,7 @@ def test_makarov_fl_below_fu_random_tables(seed):
     w = rng.uniform(0.2, 0.8, nz)
     F1 = F * w[None, :]
     t = ConditionalCdfTable(grid=grid, F=F, F0=F - F1, F1=F1, p=w)
-    env = envelope_table(t, 0.0)
-    assume(not crossing_test(env.Flow, env.Fhigh).rejected)
+    assume(not crossing_test(*envelope_table(t, 0.0)).rejected)
     rc = random_cost_bounds(t, np.linspace(0, 4, 9))
     ok = rc.identified_z
     assert np.all(rc.FL[:, ok] <= rc.FU[:, ok] + 1e-12)
@@ -361,15 +360,15 @@ def _reference_random_cost_bounds(table, cost_grid, lower_support_bound):
         idx = np.searchsorted(grid, t, side="right")
         return np.where(idx > 0, vals[np.maximum(idx - 1, 0)], 0.0)
 
-    env = envelope_table(table, lower_support_bound)
+    Flow, Fhigh = envelope_table(table, lower_support_bound)
     y = table.grid.y
     FL = np.full((cost_grid.size, table.grid.z.size), np.nan)
     FU = FL.copy()
     for iz in np.flatnonzero(table.p > identification_tol(table.n_obs)):
         p = table.p[iz]
         cond = np.clip(table.F1[:, iz] / p, 0.0, 1.0)
-        low = np.clip((env.Flow[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
-        high = np.clip((env.Fhigh[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
+        low = np.clip((Flow[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
+        high = np.clip((Fhigh[:, iz] - table.F[:, iz]) / p + cond, 0.0, 1.0)
         cond, low, high = (np.maximum.accumulate(v) for v in (cond, low, high))
         for ic, c in enumerate(cost_grid):
             t = np.concatenate([y, y + c])

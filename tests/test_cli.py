@@ -563,7 +563,11 @@ def _params_with(**changes):
     _dgp_with(z_law={"kind": "fixed", "value": True}),
     _params_with(rho=7.0, eta0=0.4),
     _dgp_with(forsight="imperfect"),
-    _dgp_with(z_law={"kind": "uniform", "low": 0.0, "high": 1.0, "values": [0.5]})],
+    _dgp_with(z_law={"kind": "uniform", "low": 0.0, "high": 1.0, "values": [0.5]}),
+    _params_with(mu0="0.5"),
+    _dgp_with(z_law={"kind": "choice", "values": "12"}),
+    _dgp_with(z_law={"kind": "choice", "values": {"0.2": 1, "0.7": 2}}),
+    _params_with(mu0=10 ** 400)],
     ids=["no-family", "bogus-z-law-kind", "text-z-law-bound", "text-z-law",
          "text-param", "unknown-param", "short-pair", "no-intercept",
          "text-params", "text-lower-bound", "text-dgp", "probs-sum-above-one",
@@ -571,7 +575,8 @@ def _params_with(**changes):
          "nan-lower-bound", "bool-param", "bool-in-pair", "bool-slope",
          "bool-scalar", "bool-lower-bound", "bool-z-law-bound", "bool-z-law-value",
          "bool-z-law-fixed", "unread-family-param", "misspelled-dgp-key",
-         "foreign-z-law-key"])
+         "foreign-z-law-key", "numeric-text-param", "text-z-law-values",
+         "object-z-law-values", "huge-int-param"])
 @pytest.mark.parametrize("command", ["simulate", "coverage"])
 def test_malformed_dgp_is_a_one_line_error(tmp_path, capsys, dgp, command):
     out = tmp_path / "out.csv"
@@ -631,8 +636,10 @@ def test_console_entry_point_runs():
 
 @pytest.mark.parametrize("source", [
     ["--z-bins=0.9,0.5,0.1"], ["--z-bins=0.5"], ["--z-bins=0.2,0.2,0.8"],
-    ["--z-bins=0.1,nan,0.9"], {"z_bins": ["low", "high"]}],
-    ids=["decreasing", "one-edge", "repeated-edge", "nan-edge", "config-text"])
+    ["--z-bins=0.1,nan,0.9"], {"z_bins": ["low", "high"]}, {"z_bins": ["0.1", "0.5"]},
+    {"z_bins": [0.1, True]}, {"z_bins": [0.1, 10 ** 400]}],
+    ids=["decreasing", "one-edge", "repeated-edge", "nan-edge", "config-text",
+         "config-numeric-text", "config-bool", "config-huge-int"])
 def test_bad_z_bins_are_config_errors(tmp_path, capsys, source):
     sample = _simulated(tmp_path, n=200)
     if isinstance(source, dict):

@@ -124,13 +124,13 @@ def test_upper_envelope_zero_p():
 def test_envelope_table_invariants(quasi_dgp):
     grid = interior_grid(quasi_dgp, n_y=25, n_z=5)
     t = population_tables(quasi_dgp, grid)
-    env = envelope_table(t, 0.0)
-    assert np.all(np.diff(env.Flow, axis=0) >= -1e-12)
-    assert np.all(np.diff(env.Fhigh, axis=0) >= -1e-12)
-    assert np.all(np.diff(env.Flow, axis=1) <= 1e-12)
-    assert np.all(np.diff(env.Fhigh, axis=1) <= 1e-12)
-    assert np.all(env.Flow >= t.F - 1e-12)
-    assert np.all((env.Flow >= -1e-12) & (env.Flow <= 1 + 1e-12))
+    Flow, Fhigh = envelope_table(t, 0.0)
+    assert np.all(np.diff(Flow, axis=0) >= -1e-12)
+    assert np.all(np.diff(Fhigh, axis=0) >= -1e-12)
+    assert np.all(np.diff(Flow, axis=1) <= 1e-12)
+    assert np.all(np.diff(Fhigh, axis=1) <= 1e-12)
+    assert np.all(Flow >= t.F - 1e-12)
+    assert np.all((Flow >= -1e-12) & (Flow <= 1 + 1e-12))
 
 
 # -- crossing test ------------------------------------------------------------
@@ -138,8 +138,7 @@ def test_envelope_table_invariants(quasi_dgp):
 def test_crossing_not_rejected_on_population(quasi_dgp):
     grid = interior_grid(quasi_dgp, n_y=25, n_z=5)
     t = population_tables(quasi_dgp, grid)
-    env = envelope_table(t, 0.0)
-    rep = crossing_test(env.Flow, env.Fhigh)
+    rep = crossing_test(*envelope_table(t, 0.0))
     assert not rep.rejected and rep.worst_gap <= 0.0
 
 
@@ -171,28 +170,27 @@ def test_sandwich_running_extrema_examples():
                    p=[0.4, 0.4])
     Flow = np.array([[0.4, 0.4], [0.5, 0.5], [0.9, 0.9]])
     Fhigh = np.array([[0.7, 0.7], [0.8, 0.8], [1.5, 1.5]])
-    sw = sandwich(t, Flow, Fhigh)
+    L, U = sandwich(t, Flow, Fhigh)
     # Flow - F0 = [0.2, 0.1, 0.3] -> running max [0.2, 0.2, 0.3]
-    assert np.allclose(sw.L[:, 0], [0.2, 0.2, 0.3])
+    assert np.allclose(L[:, 0], [0.2, 0.2, 0.3])
     # Fhigh - F0 = [0.5, 0.4, 0.9] -> running min from above [0.4, 0.4, 0.9]
-    assert np.allclose(sw.U[:, 0], [0.4, 0.4, 0.9])
+    assert np.allclose(U[:, 0], [0.4, 0.4, 0.9])
 
 
 def test_sandwich_monotone_data_gives_F1():
     t = table_from(F=[[0.3, 0.2], [0.6, 0.5], [1.0, 1.0]],
                    F0=[[0.1, 0.1], [0.2, 0.2], [0.4, 0.45]],
                    p=[0.6, 0.55])
-    sw = sandwich(t, lower_envelope(t), upper_envelope(t, -10.0))
-    assert np.allclose(sw.L, t.F1)
+    L, _ = sandwich(t, lower_envelope(t), upper_envelope(t, -10.0))
+    assert np.allclose(L, t.F1)
 
 
 def test_sandwich_columns_monotone(quasi_dgp):
     grid = interior_grid(quasi_dgp, n_y=25, n_z=5)
     t = population_tables(quasi_dgp, grid)
-    env = envelope_table(t, 0.0)
-    sw = sandwich(t, env.Flow, env.Fhigh)
-    assert np.all(np.diff(sw.L, axis=0) >= -1e-12)
-    assert np.all(np.diff(sw.U, axis=0) >= -1e-12)
+    L, U = sandwich(t, *envelope_table(t, 0.0))
+    assert np.all(np.diff(L, axis=0) >= -1e-12)
+    assert np.all(np.diff(U, axis=0) >= -1e-12)
 
 
 # -- generalized inverse ------------------------------------------------------

@@ -44,7 +44,7 @@ def test_fibers_match_table_combinations(quasi_sample, small_grid):
                       quasi_sample.lower_support_bound)
     for k, (i, j) in enumerate(pairs):
         assert j >= i
-        expect = table.F[:, j] - table.F0[:, i]
+        expect = np.maximum.accumulate(table.F[:, j] - table.F0[:, i])
         assert np.allclose(G[:, k], expect, atol=1e-12)
 
 
@@ -66,7 +66,8 @@ def test_upper_side_fibers_carry_support_mass(quasi_sample, small_grid):
     ind = (small_grid.y >= quasi_sample.lower_support_bound).astype(float)
     for k, (i, j) in enumerate(pairs):
         assert j <= i
-        expect = table.F0[:, j] + table.p[j] * ind - table.F0[:, i]
+        expect = np.maximum.accumulate(table.F0[:, j] + table.p[j] * ind
+                                       - table.F0[:, i])
         assert np.allclose(G[:, k], expect, atol=1e-12)
 
 
@@ -169,7 +170,7 @@ def test_theta_below_fiber_minimum_clamps_low():
 
 def _population_theta(t):
     G = _fiber_matrix(t.grid, t.F, t.F0, t.p, "lower", 0.0)
-    k, _ = _theta(t.grid.y, t.F1, np.maximum.accumulate(G, axis=-2), "lower")
+    k, _ = _theta(t.grid.y, t.F1, G, "lower")
     return _pairs(t.grid.z.size, "lower"), t.grid.y[k]
 
 
@@ -378,9 +379,8 @@ def test_zero_variance_single_inequality_collapses_band():
     theta = y[k]
     draws = np.repeat(k[None, :, :], 60, axis=0)
     sn = np.full_like(theta, SE_FLOOR)
-    Cn, Chat, _, crit = clr_band(theta, draws, sn, ((0, 0),), grid,
-                                    alpha=0.05, subset_indices=(0, 2),
-                                    n_obs=500)
+    Cn, Chat, _, crit = clr_band(theta, draws, sn, grid, alpha=0.05,
+                                 subset_indices=(0, 2), n_obs=500)
     assert crit == 0.0
     assert np.array_equal(Cn, Chat)
     assert np.allclose(Chat[:, 0], y - theta[:, 0])

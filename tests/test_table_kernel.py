@@ -109,7 +109,8 @@ def _check(sample, grid, h, draws=4, seed=0):
     _assert_bitwise([table.F, table.F0, table.F1, table.p],
                     _reference_tables(sample, grid, h))
     rng = np.random.default_rng(seed)
-    idx = [None] + [rng.integers(0, sample.n, size=sample.n) for _ in range(draws)]
+    idx = [np.arange(sample.n)] + [rng.integers(0, sample.n, size=sample.n)
+                                   for _ in range(draws)]
     # one stack of the sample and its draws, each table as the reference makes it
     stack = kernel.tables(idx)
     for b, i in enumerate(idx):
@@ -192,7 +193,7 @@ def test_kernel_after_an_empty_window_draw():
         _reference_tables(sample, grid, h, low)
     with pytest.raises(NoSupportError):
         kernel.tables([low])
-    idx = [None, rng.integers(0, sample.n, size=sample.n)]
+    idx = [np.arange(sample.n), rng.integers(0, sample.n, size=sample.n)]
     stack = kernel.tables(idx)
     for b, i in enumerate(idx):
         _assert_bitwise([a[b] for a in stack], _reference_tables(sample, grid, h, i))
@@ -213,7 +214,7 @@ def test_stacks_of_draws_with_the_sample_mixed_in(size):
     sample = generate_sample(quasi_dgp_spec(), 2000, seed=size)
     kernel = TableKernel(sample, EvaluationGrid.from_sample(sample, 25, 5), 0.15)
     rng = np.random.default_rng(size)
-    idx = [None if b % 5 == 2 else rng.integers(0, sample.n, size=sample.n)
+    idx = [np.arange(sample.n) if b % 5 == 2 else rng.integers(0, sample.n, size=sample.n)
            for b in range(size)]
     _check_stack(kernel, idx)
 
@@ -227,7 +228,7 @@ def test_stack_with_y_and_z_tied_in_tenths():
                           z=np.array([0.1, 0.3, 0.45, 0.6, 0.9]))
     rng = np.random.default_rng(14)
     idx = [rng.integers(0, sample.n, size=sample.n) for _ in range(9)]
-    _check_stack(TableKernel(sample, grid, 0.2), idx[:4] + [None] + idx[4:])
+    _check_stack(TableKernel(sample, grid, 0.2), idx[:4] + [np.arange(sample.n)] + idx[4:])
 
 
 def test_windows_of_many_and_of_few_records_in_one_stack():
@@ -246,7 +247,7 @@ def test_windows_of_many_and_of_few_records_in_one_stack():
     assert (np.abs(z - 0.2) < 0.1).sum() > 8000
     assert (np.abs(z - 0.8) < 0.1).sum() < 600
     idx = [rng.integers(0, n, size=n) for _ in range(3)]
-    _check_stack(kernel, [idx[0], None, idx[1], idx[2]])
+    _check_stack(kernel, [idx[0], np.arange(n), idx[1], idx[2]])
 
 
 @pytest.mark.parametrize("at", [0, 3])
@@ -266,7 +267,7 @@ def test_empty_window_mid_stack_names_the_first_cell(at):
         with pytest.raises(NoSupportError) as err:
             kernel.tables(full[:at] + [bad, other] + full[at:])
         assert err.value.z0 == z0 and err.value.bandwidth == 0.3
-        _check_stack(kernel, full[:2] + [None] + full[2:])
+        _check_stack(kernel, full[:2] + [np.arange(sample.n)] + full[2:])
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,7 +314,7 @@ def test_empty_window_raises_like_the_reference():
     with pytest.raises(NoSupportError):
         _reference_tables(sample, grid, 0.25)
     with pytest.raises(NoSupportError):
-        TableKernel(sample, grid, 0.25).tables([None])
+        TableKernel(sample, grid, 0.25).tables([np.arange(sample.n)])
 
 
 def test_bootstrap_draws_equal_the_resampling_path():
@@ -335,9 +336,8 @@ def test_bootstrap_draws_equal_the_resampling_path():
         _, draws = bootstrap_errors(sample, grid, h, B=B, seed=seed, side=side)
         for b, (F, F0, F1, p) in enumerate(replications):
             G = _fiber_matrix(grid, F, F0, p, side, lsb)
-            Gstar = np.maximum.accumulate(G, axis=-2)
-            theta, _ = searchsorted_theta(grid.y, F1, Gstar, side)
-            assert np.array_equal(draws[b], _theta(grid.y, F1, Gstar, side)[0][0]), (side, b)
+            theta, _ = searchsorted_theta(grid.y, F1, G, side)
+            assert np.array_equal(draws[b], _theta(grid.y, F1, G, side)[0][0]), (side, b)
             assert grid.y[draws[b]].tobytes() == theta[0].tobytes(), (side, b)
 
 
